@@ -13,11 +13,12 @@ import math
 import random
 from itertools import permutations
 
-from .errors import BudgetExceeded, InvariantViolation, PreconditionError, charge, enumeration_budget
+from .errors import BudgetExceeded, InvariantViolation, PreconditionError, charge
 
 
 class Category:
-    """Base class: hom enumeration with caching and budgets."""
+    """Base class: hom enumeration with caching and budgets, and the
+    complemented structure that follows from a subclass's slot_inclusion."""
 
     name = "?"
     is_complemented = False
@@ -62,15 +63,43 @@ class Category:
         """In the skeletal categories here, endomorphisms are exactly the isos."""
         return mor.src == mor.dst
 
+    # ----- complemented structure, from slot_inclusion -----
 
-def hom_enumerate(cat, m, n, budget=None):
-    """All morphisms of cat from rank m to rank n, sorted canonically."""
-    return cat.hom(m, n, budget=budget)
+    def canonical(self, m, n):
+        """The inclusion of rank m onto the first m slots of rank n."""
+        if m > n:
+            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
+        return self.slot_inclusion(tuple(range(m)), n)
 
+    def canonical_last(self, m, n):
+        """The inclusion of rank m onto the last m slots of rank n."""
+        if m > n:
+            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
+        return self.slot_inclusion(tuple(range(n - m, n)), n)
 
-def compose(cat, g, f):
-    """Composite g after f."""
-    return cat.compose(g, f)
+    def block_permutation(self, sizes, perm):
+        """The automorphism placing block perm[t] of the given sizes t-th."""
+        q = len(sizes)
+        if sorted(perm) != list(range(q)):
+            raise PreconditionError("bad block permutation %r" % (perm,))
+        total = sum(sizes)
+        src_off = [0] * q
+        acc = 0
+        for i, s in enumerate(sizes):
+            src_off[i] = acc
+            acc += s
+        images = [0] * total
+        acc = 0
+        for t in range(q):
+            i = perm[t]
+            for j in range(sizes[i]):
+                images[src_off[i] + j] = acc + j
+            acc += sizes[i]
+        return self.slot_inclusion(tuple(images), total)
+
+    def flip(self, a, b):
+        """The symmetry exchanging the summands of rank a and rank b."""
+        return self.block_permutation((a, b), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -149,41 +178,6 @@ class FiCategory(Category):
             raise PreconditionError("bad slot list %r for rank %d" % (slots, p))
         return FiMorphism(len(slots), p, slots)
 
-    def canonical(self, m, n):
-        if m > n:
-            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
-        return self.slot_inclusion(tuple(range(m)), n)
-
-    def canonical_last(self, m, n):
-        if m > n:
-            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
-        return self.slot_inclusion(tuple(range(n - m, n)), n)
-
-    def block_permutation(self, sizes, perm):
-        q = len(sizes)
-        if sorted(perm) != list(range(q)):
-            raise PreconditionError("bad block permutation %r" % (perm,))
-        src_off = [0] * q
-        acc = 0
-        for i, s in enumerate(sizes):
-            src_off[i] = acc
-            acc += s
-        total = acc
-        tgt_off = [0] * q
-        acc = 0
-        for t in range(q):
-            tgt_off[t] = acc
-            acc += sizes[perm[t]]
-        images = [0] * total
-        for t in range(q):
-            i = perm[t]
-            for j in range(sizes[i]):
-                images[src_off[i] + j] = tgt_off[t] + j
-        return FiMorphism(total, total, tuple(images))
-
-    def flip(self, a, b):
-        return self.block_permutation((a, b), (1, 0))
-
     def complement_of(self, f):
         used = set(f.images)
         rest = tuple(i for i in range(f.dst) if i not in used)
@@ -211,17 +205,6 @@ class FiCategory(Category):
         except KeyError:
             raise PreconditionError("factor_through: image is not contained")
         return FiMorphism(j1.src, j2.src, images)
-
-
-_FI = None
-
-
-def fi_category():
-    """The (cached) FI category instance."""
-    global _FI
-    if _FI is None:
-        _FI = FiCategory()
-    return _FI
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 A Mat is an immutable rows x cols array of ring element indices (row major).
 A matrix with r rows and c cols represents a module map R^c -> R^r acting on
-column vectors.  Everything that needs pivoting (inverses, kernels, reduced
-echelon forms) runs per local factor of the ring, where an invertible matrix
-always admits unit pivots, and results are recombined by CRT.
+column vectors.
+
+Over a local ring Z/p^k a square matrix is invertible exactly when its
+reduction mod p is, so one reduced echelon form with unit pivots
+(_local_rref) decides every local question: inverses, surjectivity, kernels
+and the factorization of surjections all read it off, per local factor of
+the ring, and the results are recombined by CRT.  Determinants need no
+pivoting: integer Bareiss elimination on each modulus, reduced at the end.
 """
 
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .errors import BudgetExceeded, InvariantViolation, PreconditionError, enumeration_budget
-
-MAX_DET_SIZE = 8
 
 
 class Mat:
@@ -24,7 +27,8 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.data = data
-        assert len(data) == rows * cols
+        if len(data) != rows * cols:
+            raise PreconditionError("%dx%d matrix given %d entries" % (rows, cols, len(data)))
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -115,7 +119,8 @@ class Mat:
         return tuple(out)
 
     def add(self, other):
-        assert self.ring == other.ring and self.rows == other.rows and self.cols == other.cols
+        if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
+            raise PreconditionError("matrix sum needs equal shapes over one ring")
         radd = self.ring.add
         return Mat(self.ring, self.rows, self.cols,
                    tuple(radd(x, y) for x, y in zip(self.data, other.data)))
@@ -137,7 +142,8 @@ class Mat:
         )
 
     def insert_col(self, pos, col):
-        assert len(col) == self.rows and 0 <= pos <= self.cols
+        if len(col) != self.rows or not 0 <= pos <= self.cols:
+            raise PreconditionError("column of length %d cannot go at %r" % (len(col), pos))
         rows = []
         for i in range(self.rows):
             row = list(self.row(i))
@@ -146,7 +152,8 @@ class Mat:
         return Mat.from_rows(self.ring, rows) if rows else Mat(self.ring, 0, self.cols + 1, ())
 
     def insert_row(self, pos, row):
-        assert len(row) == self.cols and 0 <= pos <= self.rows
+        if len(row) != self.cols or not 0 <= pos <= self.rows:
+            raise PreconditionError("row of length %d cannot go at %r" % (len(row), pos))
         rows = self.to_rows()
         rows.insert(pos, list(row))
         return Mat.from_rows(self.ring, rows)
@@ -175,7 +182,8 @@ class Mat:
 
 
 def hstack(a, b):
-    assert a.ring == b.ring and a.rows == b.rows
+    if a.ring != b.ring or a.rows != b.rows:
+        raise PreconditionError("hstack needs equal row counts over one ring")
     rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
     if not rows:
         return Mat(a.ring, 0, a.cols + b.cols, ())
@@ -183,7 +191,8 @@ def hstack(a, b):
 
 
 def vstack(a, b):
-    assert a.ring == b.ring and a.cols == b.cols
+    if a.ring != b.ring or a.cols != b.cols:
+        raise PreconditionError("vstack needs equal column counts over one ring")
     return Mat(a.ring, a.rows + b.rows, a.cols, a.data + b.data)
 
 
@@ -203,65 +212,76 @@ def block_diag(ring, mats):
     return Mat.from_rows(ring, out)
 
 
-def mat_mul(a, b):
-    """Matrix product a*b."""
-    return a.mul(b)
-
-
 # ----- determinants -----
 
+def _bareiss(data, n):
+    """Integer determinant of the n x n row-major data (Bareiss 1968).
+
+    Fraction-free elimination: after step k every entry is a (k+1)-minor of
+    the input, so each division is exact.
+    """
+    a = [list(data[i * n:(i + 1) * n]) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        rowk = a[k]
+        piv = rowk[k]
+        for rowi in a[k + 1:]:
+            x = rowi[k]
+            for j in range(k + 1, n):
+                rowi[j] = (piv * rowi[j] - x * rowk[j]) // prev
+        prev = piv
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def det(m):
-    """Determinant by cofactor expansion; square matrices of size <= 8 only."""
+    """Determinant of a square matrix of any size.
+
+    Integer Bareiss elimination on the residues of each modulus of the ring,
+    then reduction: exact, because det commutes with Z -> Z/n.
+    """
     if m.rows != m.cols:
         raise PreconditionError("determinant of a non-square matrix")
-    n = m.rows
-    if n > MAX_DET_SIZE:
-        raise PreconditionError("determinant limited to size <= %d, got %d" % (MAX_DET_SIZE, n))
     R = m.ring
-    if n == 0:
-        return R.one
-    radd, rmul, rneg = R.add, R.mul, R.neg
-    memo = {}
-
-    def expand(cols_left):
-        if len(cols_left) == 1:
-            return m.entry(n - 1, cols_left[0])
-        got = memo.get(cols_left)
-        if got is not None:
-            return got
-        i = n - len(cols_left)
-        acc = R.zero
-        for pos, j in enumerate(cols_left):
-            a = m.entry(i, j)
-            if not a:
-                continue
-            rest = cols_left[:pos] + cols_left[pos + 1:]
-            term = rmul(a, expand(rest))
-            if pos % 2:
-                term = rneg(term)
-            acc = radd(acc, term)
-        memo[cols_left] = acc
-        return acc
-
-    return expand(tuple(range(n)))
+    if len(R.moduli) == 1:
+        return _bareiss(m.data, m.rows) % R.moduli[0]
+    digits = [R.element_tuple(x) for x in m.data]
+    return R.encode(tuple(
+        _bareiss([d[k] for d in digits], m.rows) % q for k, q in enumerate(R.moduli)
+    ))
 
 
 # ----- per-local-factor plumbing -----
 
 def project_mat(m, i):
-    """Image of m in the i-th local factor of its ring."""
-    dec = m.ring.local
+    """Image of m in the i-th local factor of its ring; m itself when the
+    ring is local."""
+    ring = m.ring
+    dec = ring.local
+    if dec.factors[0] is ring:
+        return m
     proj = dec._proj[i]
     return Mat(dec.factors[i], m.rows, m.cols, tuple(proj[x] for x in m.data))
 
 
 def lift_mats(ring, mats):
-    """CRT-recombine one matrix per local factor of ring."""
+    """CRT-recombine one matrix per local factor of ring; the one matrix
+    itself when the ring is local."""
     dec = ring.local
-    assert len(mats) == len(dec.factors)
+    if len(mats) != len(dec.factors):
+        raise PreconditionError("need one matrix per local factor of %s" % ring.spec)
+    if dec.factors[0] is ring:
+        return mats[0]
     rows, cols = mats[0].rows, mats[0].cols
-    for m in mats:
-        assert m.rows == rows and m.cols == cols
+    if any(m.rows != rows or m.cols != cols for m in mats):
+        raise PreconditionError("local factor matrices differ in shape")
     data = tuple(
         dec.lift(tuple(m.data[k] for m in mats)) for k in range(rows * cols)
     )
@@ -340,30 +360,17 @@ def is_invertible(m):
 
 # ----- surjectivity, kernels -----
 
-def _local_has_unit_minor(m):
-    """Over a local ring: does the d x n matrix have an invertible d x d minor."""
-    d, n = m.rows, m.cols
-    if d == 0:
-        return True
-    if d > n:
-        return False
-    for I in combinations(range(n), d):
-        if m.ring.is_unit(det(m.submatrix(range(d), I))):
-            return True
-    return False
-
-
 def is_surjective(m):
     """Is the map R^cols -> R^rows given by m onto.
 
-    Equivalent to an invertible maximal minor in every local factor.
+    Equivalent to a unit pivot in every row of the echelon form over every
+    local factor.
     """
-    if m.rows == 0:
-        return True
     if m.rows > m.cols:
         return False
-    dec = m.ring.local
-    return all(_local_has_unit_minor(project_mat(m, i)) for i in range(len(dec.factors)))
+    return all(
+        len(_local_rref(project_mat(m, i))[0]) == m.rows for i in range(len(m.ring.local.factors))
+    )
 
 
 def _local_kernel(m):
@@ -371,7 +378,7 @@ def _local_kernel(m):
     d, n = m.rows, m.cols
     pivots, rows = _local_rref(m)
     if len(pivots) != d:
-        raise PreconditionError("matrix is not surjective over local factor")
+        raise PreconditionError("kernel_basis requires a surjective matrix")
     R = m.ring
     piv_set = set(pivots)
     free = [c for c in range(n) if c not in piv_set]
@@ -391,8 +398,6 @@ def kernel_basis(m):
     Deterministic: per local factor, reduced echelon form with greedy unit
     pivots; one kernel vector per free column; CRT across factors.
     """
-    if not is_surjective(m):
-        raise PreconditionError("kernel_basis requires a surjective matrix")
     dec = m.ring.local
     locals_ = [_local_kernel(project_mat(m, i)) for i in range(len(dec.factors))]
     r = m.cols - m.rows
@@ -488,35 +493,26 @@ def row_adapted(m):
     return column_adapted(m.transpose())
 
 
-def _local_lex_min_unit_cols(m):
-    d, n = m.rows, m.cols
-    for I in combinations(range(n), d):
-        if m.ring.is_unit(det(m.submatrix(range(d), I))):
-            return I
-    return None
-
-
 def factor_surjection(m):
     """Unique factorization f = f2 * f1 of a surjection into a column-adapted
     map f1 followed by an invertible f2.
 
-    Per local factor, f2 is the submatrix on the lexicographically least
-    column subset with invertible maximal minor and f1 = f2^{-1} * f; the
-    factors are CRT-recombined.
+    Per local factor, one unit-pivot echelon decides everything: f is onto
+    when every row gets a pivot, f2 is the submatrix on the pivot columns and
+    f1 = f2^{-1} * f is the reduced echelon form itself.  The greedy pivots
+    are the lexicographically least columns with an invertible maximal minor
+    (the greedy basis of the column matroid over the residue field), which
+    makes f1 column-adapted.  The factors are CRT-recombined.
     """
-    if m.rows > m.cols or not is_surjective(m):
-        raise PreconditionError("factor_surjection requires a surjective matrix")
-    dec = m.ring.local
+    d, n = m.rows, m.cols
     f1s, f2s = [], []
-    for i in range(len(dec.factors)):
+    for i in range(len(m.ring.local.factors)):
         mi = project_mat(m, i)
-        I = _local_lex_min_unit_cols(mi)
-        if I is None:
-            raise PreconditionError("matrix is not surjective over local factor")
-        A = mi.submatrix(range(m.rows), I)
-        h = _local_inverse(A)
-        f1s.append(h.mul(mi))
-        f2s.append(A)
+        pivots, rows = _local_rref(mi)
+        if len(pivots) != d:
+            raise PreconditionError("factor_surjection requires a surjective matrix")
+        f1s.append(Mat(mi.ring, d, n, tuple(x for row in rows for x in row)))
+        f2s.append(mi.submatrix(range(d), pivots))
     f1 = lift_mats(m.ring, f1s)
     f2 = lift_mats(m.ring, f2s)
     if f2.mul(f1) != m:
@@ -529,7 +525,7 @@ def factor_surjection(m):
 # ----- misc -----
 
 def column_span_set(m, budget=None):
-    """All R-linear combinations of the columns of m, as a set of tuples."""
+    """The column span of m: every R-linear combination of its columns, as a set of tuples."""
     R = m.ring
     total = R.size ** m.cols
     cap = enumeration_budget(budget)

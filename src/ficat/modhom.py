@@ -288,8 +288,8 @@ class SpanBuilder:
 def mat_mul(field, a, b):
     """Product of dense row-tuple matrices."""
     zero = field.zero
-    if a and b:
-        assert len(a[0]) == len(b), "inner dimensions disagree"
+    if a and b and len(a[0]) != len(b):
+        raise PreconditionError("inner dimensions disagree")
     cols = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -851,17 +851,18 @@ def _shift_group(cat, variant, p, budget=None):
     return elements
 
 
-def _orbit_tables(cat, basis, group, budget=None):
+def _orbit_tables(cat, basis, group):
     """Representatives and the projection table of a free right action.
 
     Returns (reps, proj) with proj[key(member)] = (sign, rep index); the
     action must be free, and a collision raises an invariant violation.
+    A free action composes each basis element once, so this costs no more
+    than the hom enumeration that produced the basis and was charged for it.
     """
     if len(group) == 1:
         reps = tuple(basis)
         proj = {cat.key(u): (1, i) for i, u in enumerate(reps)}
         return reps, proj
-    charge(len(basis) * len(group), budget, "shift quotient orbits")
     reps = []
     proj = {}
     for u in basis:
@@ -980,7 +981,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
         for n in range(nmax + 1):
             for p in range(q + 1):
                 basis = cat.hom(p + d0, n, budget=budget)
-                reps, proj = _orbit_tables(cat, basis, wide_groups[p], budget=budget)
+                reps, proj = _orbit_tables(cat, basis, wide_groups[p])
                 reps_at[(p, n)] = reps
                 proj_at[(p, n)] = proj
                 spaces[(p, n)] = reps
@@ -1003,7 +1004,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
         for n in range(nmax + 1):
             for p in range(q + 1):
                 basis = cat.hom(p, n, budget=budget)
-                reps, proj = _orbit_tables(cat, basis, groups[p], budget=budget)
+                reps, proj = _orbit_tables(cat, basis, groups[p])
                 labels, offsets, info = _complement_blocks(cat, module, reps, budget=budget)
                 if len(groups[p]) > 1:
                     for h in basis:

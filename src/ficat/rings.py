@@ -53,6 +53,19 @@ def smallest_prime(n):
     return n
 
 
+def prime_power(size):
+    """(p, k) with size = p^k, the size of a local ring."""
+    p = smallest_prime(size)
+    k = 0
+    s = size
+    while s > 1:
+        s //= p
+        k += 1
+    if p ** k != size:
+        raise InvariantViolation("local factor size %d is not a prime power" % size)
+    return p, k
+
+
 class FiniteRing:
     """A finite commutative ring, elements indexed 0..size-1."""
 
@@ -341,12 +354,3 @@ def make_ring(spec):
     """Build (or fetch) the finite ring named by spec, e.g. "Z/4" or "Z/2 x Z/3"."""
     return _make_ring_cached(_parse_spec(spec))
 
-
-def unit_inverse(ring, x):
-    """Inverse of x in ring, or None when x is not a unit."""
-    return ring.inverse(x)
-
-
-def local_factors(ring):
-    """Tuple of local factor rings of ring, canonically ordered."""
-    return ring.local.factors

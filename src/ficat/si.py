@@ -9,10 +9,10 @@ standard interleaved form (pairs occupy coordinates (2i, 2i+1), 0-based).
 A morphism m -> n is a 2n x 2m matrix f with f^T . Gram_dst . f = Gram_src.
 """
 
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .errors import PreconditionError, InvariantViolation, charge
-from .rings import smallest_prime
+from .rings import prime_power
 from .matrices import (
     Mat,
     block_diag,
@@ -171,26 +171,13 @@ def _sp_order_local(p, k, n):
     return p ** ((k - 1) * (2 * n * n + n)) * field
 
 
-def _prime_power(size):
-    """(p, k) with size = p^k for a local factor ring."""
-    p = smallest_prime(size)
-    k = 0
-    s = size
-    while s > 1:
-        s //= p
-        k += 1
-    if p ** k != size:
-        raise InvariantViolation("local factor size %d is not a prime power" % size)
-    return p, k
-
-
 def sp_order(ring, n):
     """|Sp_{2n}(R)|, multiplied over the local factors of R."""
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("pair rank must be a non-negative integer")
     total = 1
     for fac in ring.local.factors:
-        p, k = _prime_power(fac.size)
+        p, k = prime_power(fac.size)
         total *= _sp_order_local(p, k, n)
     return total
 
@@ -325,7 +312,7 @@ def si_hom_from(src_form, n, budget=None):
         return ()
     count = 1
     for fac in ring.local.factors:
-        p, k = _prime_power(fac.size)
+        p, k = prime_power(fac.size)
         num = _sp_order_local(p, k, n)
         den = _sp_order_local(p, k, n - d)
         if num % den:
@@ -387,7 +374,7 @@ class SiCategory(Category):
             return 0
         total = 1
         for fac in self.ring.local.factors:
-            p, k = _prime_power(fac.size)
+            p, k = prime_power(fac.size)
             num = _sp_order_local(p, k, n)
             den = _sp_order_local(p, k, n - m)
             if num % den:
@@ -441,38 +428,6 @@ class SiCategory(Category):
                 )
         f = Mat.from_cols(ring, cols) if cols else Mat.zeros(ring, 2 * p, 0)
         return SiMorphism(f, self.form(len(slots)), self.form(p), check=False)
-
-    def canonical(self, m, n):
-        if m > n:
-            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
-        return self.slot_inclusion(tuple(range(m)), n)
-
-    def canonical_last(self, m, n):
-        if m > n:
-            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
-        return self.slot_inclusion(tuple(range(n - m, n)), n)
-
-    def block_permutation(self, sizes, perm):
-        q = len(sizes)
-        if sorted(perm) != list(range(q)):
-            raise PreconditionError("bad block permutation %r" % (perm,))
-        total = sum(sizes)
-        src_off = [0] * q
-        acc = 0
-        for i, s in enumerate(sizes):
-            src_off[i] = acc
-            acc += s
-        images = [0] * total
-        acc = 0
-        for t in range(q):
-            i = perm[t]
-            for j in range(sizes[i]):
-                images[src_off[i] + j] = acc + j
-            acc += sizes[i]
-        return self.slot_inclusion(tuple(images), total)
-
-    def flip(self, a, b):
-        return self.block_permutation((a, b), (1, 0))
 
     def complement_of(self, mor):
         """The perpendicular of the image, standardized pair by pair."""

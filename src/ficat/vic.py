@@ -14,7 +14,6 @@ Composition convention: compose(g, f) means "g after f", so the components
 multiply as (g.f * f.f, f.fp * g.fp).
 """
 
-import math
 from itertools import combinations, product as iproduct
 
 from .catcore import Category
@@ -34,7 +33,7 @@ from .matrices import (
     mat_to_payload,
     try_inverse,
 )
-from .rings import smallest_prime
+from .rings import prime_power
 
 
 class UnitSubgroup:
@@ -181,14 +180,7 @@ def _gl_count_local(ring, n):
     """|GL_n(Z/p^k)| = p^((k-1) n^2) * prod_i (p^n - p^i)."""
     if n == 0:
         return 1
-    s = ring.size
-    p = smallest_prime(s)
-    k = 0
-    t = s
-    while t > 1:
-        assert t % p == 0
-        t //= p
-        k += 1
+    p, k = prime_power(ring.size)
     base = 1
     for i in range(n):
         base *= p**n - p**i
@@ -211,7 +203,7 @@ def gl_pairs(ring, n, budget=None):
     charge(count, budget, "GL_%d(%s) enumeration" % (n, ring.spec))
     dec = ring.local
     locs = [_gl_local(rf, n) for rf in dec.factors]
-    if len(dec.factors) == 1 and dec.factors[0] is ring:
+    if dec.factors[0] is ring:
         return locs[0]
     out = []
     for combo in iproduct(*locs):
@@ -327,17 +319,12 @@ def ovic_hom_enumerate(ring, m, n, budget=None):
     """All OVIC(R) morphisms from rank m to rank n, sorted canonically."""
     count = ovic_count(ring, m, n)
     charge(count, budget, "OVIC(%s) hom(%d,%d) enumeration" % (ring.spec, m, n))
-    dec = ring.local
     out = []
-    if len(dec.factors) == 1 and dec.factors[0] is ring:
-        for fp, f in _ovic_local_list(ring, m, n):
-            out.append(OvicMorphism(f, fp, check=False))
-    else:
-        locs = [_ovic_local_list(rf, m, n) for rf in dec.factors]
-        for combo in iproduct(*locs):
-            fp = lift_mats(ring, [c[0] for c in combo])
-            f = lift_mats(ring, [c[1] for c in combo])
-            out.append(OvicMorphism(f, fp, check=False))
+    locs = [_ovic_local_list(rf, m, n) for rf in ring.local.factors]
+    for combo in iproduct(*locs):
+        fp = lift_mats(ring, [c[0] for c in combo])
+        f = lift_mats(ring, [c[1] for c in combo])
+        out.append(OvicMorphism(f, fp, check=False))
     out.sort(key=lambda mor: (mor.f.data, mor.fp.data))
     return tuple(out)
 
@@ -436,38 +423,6 @@ class VicCategory(Category):
         if mor.src == mor.dst and det(mor.f) not in self.units:
             raise PreconditionError("slot permutation determinant lies outside the unit subgroup")
         return mor
-
-    def canonical(self, m, n):
-        if m > n:
-            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
-        return self.slot_inclusion(tuple(range(m)), n)
-
-    def canonical_last(self, m, n):
-        if m > n:
-            raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
-        return self.slot_inclusion(tuple(range(n - m, n)), n)
-
-    def block_permutation(self, sizes, perm):
-        q = len(sizes)
-        if sorted(perm) != list(range(q)):
-            raise PreconditionError("bad block permutation %r" % (perm,))
-        total = sum(sizes)
-        src_off = [0] * q
-        acc = 0
-        for i, s in enumerate(sizes):
-            src_off[i] = acc
-            acc += s
-        images = [0] * total
-        acc = 0
-        for t in range(q):
-            i = perm[t]
-            for j in range(sizes[i]):
-                images[src_off[i] + j] = acc + j
-            acc += sizes[i]
-        return self.slot_inclusion(tuple(images), total)
-
-    def flip(self, a, b):
-        return self.block_permutation((a, b), (1, 0))
 
     def complement_of(self, mor):
         """The complementary split injection onto ker(fp), with det landed in U.

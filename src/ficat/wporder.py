@@ -102,16 +102,11 @@ def ovic_words(mor):
     """Per-local-factor words encoding an adapted split injection."""
     if not isinstance(mor, OvicMorphism):
         raise PreconditionError("ovic word encoding requires an adapted morphism")
-    ring = mor.ring
-    dec = ring.local
     n = mor.dst
     out = []
-    for i in range(len(dec.factors)):
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_i, fp_i = mor.f, mor.fp
-        else:
-            f_i, fp_i = project_mat(mor.f, i), project_mat(mor.fp, i)
-        pivots = set(mor.profile.per_factor[i])
+    for i, pivots in enumerate(mor.profile.per_factor):
+        f_i, fp_i = project_mat(mor.f, i), project_mat(mor.fp, i)
+        pivots = set(pivots)
         word = tuple(
             SPADE if t in pivots else (f_i.row(t), fp_i.col(t)) for t in range(n)
         )
@@ -122,16 +117,11 @@ def ovic_words(mor):
 def osi_words(mor):
     """Per-local-factor pair words encoding a row-adapted symplectic map."""
     profile = _osi_profile(mor)
-    ring = mor.ring
-    dec = ring.local
     n = mor.dst
     out = []
-    for i in range(len(dec.factors)):
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_i = mor.f
-        else:
-            f_i = project_mat(mor.f, i)
-        pivots = set(profile.per_factor[i])
+    for i, pivots in enumerate(profile.per_factor):
+        f_i = project_mat(mor.f, i)
+        pivots = set(pivots)
         word = []
         for t in range(n):
             comps = tuple(
@@ -343,18 +333,14 @@ def ovic_phi_for(f, g, budget=None):
     if f == g:
         e = Mat.identity(ring, nf)
         return OvicMorphism(e, e, check=False)
-    dec = ring.local
     words_f = ovic_words(f)
     words_g = ovic_words(g)
     phis, phips = [], []
-    for i, fac in enumerate(dec.factors):
+    for i, fac in enumerate(ring.local.factors):
         path = _word_chain_path(words_f[i], words_g[i], budget)
         if path is None:
             raise PreconditionError("morphisms are not related by the insertion order")
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_cur, fp_cur = f.f, f.fp
-        else:
-            f_cur, fp_cur = project_mat(f.f, i), project_mat(f.fp, i)
+        f_cur, fp_cur = project_mat(f.f, i), project_mat(f.fp, i)
         word = words_f[i]
         phi_total = Mat.identity(fac, nf)
         phip_total = Mat.identity(fac, nf)
@@ -402,16 +388,10 @@ def ovic_total_key(mor):
     pivot set, the columns of fp, and the free rows of f."""
     if not isinstance(mor, OvicMorphism):
         raise PreconditionError("total order keys require adapted morphisms")
-    ring = mor.ring
-    dec = ring.local
     n = mor.dst
     stages = []
-    for i in range(len(dec.factors)):
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_i, fp_i = mor.f, mor.fp
-        else:
-            f_i, fp_i = project_mat(mor.f, i), project_mat(mor.fp, i)
-        pivots = mor.profile.per_factor[i]
+    for i, pivots in enumerate(mor.profile.per_factor):
+        f_i, fp_i = project_mat(mor.f, i), project_mat(mor.fp, i)
         cols = tuple(fp_i.col(t) for t in range(n))
         free = tuple(f_i.row(t) for t in range(n) if t not in set(pivots))
         stages.append((pivots, cols, free))
@@ -432,16 +412,11 @@ def ovic_total_cmp(f, g):
 def osi_total_key(mor):
     """Rank, then per local factor the pivot rows and the row sequence."""
     profile = _osi_profile(mor)
-    ring = mor.ring
-    dec = ring.local
     stages = []
-    for i in range(len(dec.factors)):
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_i = mor.f
-        else:
-            f_i = project_mat(mor.f, i)
+    for i, pivots in enumerate(profile.per_factor):
+        f_i = project_mat(mor.f, i)
         rows = tuple(f_i.row(r) for r in range(f_i.rows))
-        stages.append((profile.per_factor[i], rows))
+        stages.append((pivots, rows))
     return (mor.dst, tuple(stages))
 
 
@@ -498,15 +473,10 @@ def osi_preceq(f, g, budget=None):
         return False
     profile_g = _osi_profile(g)
     _osi_profile(f)
-    ring = f.ring
-    dec = ring.local
-    for i in range(len(dec.factors)):
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_i, g_i = f.f, g.f
-        else:
-            f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
+    for i, pivots_g in enumerate(profile_g.per_factor):
+        f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
         found = False
-        for _ in _osi_deletion_sets(f_i, g_i, profile_g.per_factor[i], f.dst, g.dst, budget):
+        for _ in _osi_deletion_sets(f_i, g_i, pivots_g, f.dst, g.dst, budget):
             found = True
             break
         if not found:
@@ -574,13 +544,9 @@ def osi_insertion_phi(f, g, budget=None):
     profile_f = _osi_profile(f)
     words_f = osi_words(f)
     words_g = osi_words(g)
-    dec = ring.local
     mats = []
-    for i, fac in enumerate(dec.factors):
-        if len(dec.factors) == 1 and dec.factors[0] is ring:
-            f_i, g_i = f.f, g.f
-        else:
-            f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
+    for i, fac in enumerate(ring.local.factors):
+        f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
         subset = _greedy_unmatched(words_f[i], words_g[i])
         if subset is None:
             raise PreconditionError("morphisms are not related by pair deletion")

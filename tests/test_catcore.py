@@ -8,7 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from ficat.catcore import FiMorphism, check_axioms, compose, fi_category, group_structure_report, hom_enumerate
+from ficat.catcore import FiCategory, FiMorphism, check_axioms, group_structure_report
 from ficat.errors import PreconditionError
 
 
@@ -21,77 +21,77 @@ def brute_injections(m, n):
 
 
 def test_fi_hom_matches_brute():
-    fi = fi_category()
+    fi = FiCategory()
     for n in range(5):
         for m in range(5):
-            hom = hom_enumerate(fi, m, n)
+            hom = fi.hom(m, n)
             assert sorted(f.images for f in hom) == brute_injections(m, n)
             assert len(hom) == fi.count_hom(m, n)
 
 
 def test_fi_compose_identity():
-    fi = fi_category()
+    fi = FiCategory()
     f = FiMorphism(2, 3, (2, 0))
     g = FiMorphism(3, 4, (1, 3, 0))
-    assert compose(fi, g, f).images == (0, 1)
-    assert compose(fi, fi.identity(4), g) == g
-    assert compose(fi, g, fi.identity(3)) == g
+    assert fi.compose(g, f).images == (0, 1)
+    assert fi.compose(fi.identity(4), g) == g
+    assert fi.compose(g, fi.identity(3)) == g
     with pytest.raises(PreconditionError):
-        compose(fi, f, g)
+        fi.compose(f, g)
 
 
 def test_fi_complement():
-    fi = fi_category()
+    fi = FiCategory()
     f = FiMorphism(2, 4, (3, 1))
     r, j = fi.complement_of(f)
     assert r == 2 and j.images == (0, 2)
     psi = fi.assemble(f, j)
     assert psi.images == (3, 1, 0, 2)
-    assert compose(fi, psi, fi.canonical(2, 4)) == f
-    assert compose(fi, psi, fi.canonical_last(2, 4)) == j
+    assert fi.compose(psi, fi.canonical(2, 4)) == f
+    assert fi.compose(psi, fi.canonical_last(2, 4)) == j
     # colliding images cannot assemble
     assert fi.assemble(f, FiMorphism(1, 4, (3,))) is None
 
 
 def test_fi_block_permutation_and_flip():
-    fi = fi_category()
+    fi = FiCategory()
     sigma = fi.flip(1, 2)
     assert sigma.images == (2, 0, 1)
     tau = fi.block_permutation((2, 1, 1), (2, 0, 1))
     # source blocks {0,1}, {2}, {3}; target slots hold block2, block0, block1,
     # so target offsets are 0, 1, 3 and block0 lands at positions 1 and 2
     assert tau.images == (1, 2, 3, 0)
-    assert compose(fi, fi.flip(2, 1), sigma) == fi.identity(3)
+    assert fi.compose(fi.flip(2, 1), sigma) == fi.identity(3)
 
 
 def test_fi_slot_inclusion_and_factor_through():
-    fi = fi_category()
+    fi = FiCategory()
     s = fi.slot_inclusion((0, 2, 3), 5)
     assert s.images == (0, 2, 3)
     j2 = fi.slot_inclusion((1, 2, 4), 5)
     j1 = fi.slot_inclusion((4, 2), 5)
     c = fi.factor_through(j2, j1)
-    assert compose(fi, j2, c) == j1
+    assert fi.compose(j2, c) == j1
     with pytest.raises(PreconditionError):
         fi.factor_through(j2, fi.slot_inclusion((0,), 5))
 
 
 def test_fi_monoidal_sum():
-    fi = fi_category()
+    fi = FiCategory()
     f = FiMorphism(1, 2, (1,))
     g = FiMorphism(2, 3, (2, 0))
     assert fi.monoidal_sum(f, g).images == (1, 4, 2)
 
 
 def test_fi_axioms_rank4():
-    report = check_axioms(fi_category(), 4)
+    report = check_axioms(FiCategory(), 4)
     assert report["ok"], report
     assert report["checks"]["associativity"]["sampled_signatures"] == 0
     assert report["checks"]["complement_unique"]["status"] == "pass"
 
 
 def test_fi_group_structure_report():
-    rep = group_structure_report(fi_category(), 2, 4)
+    rep = group_structure_report(FiCategory(), 2, 4)
     assert rep["hom"] == 12
     assert rep["aut"] == 24
     assert rep["aut_residual"] == 2

@@ -193,6 +193,28 @@ def test_exit_code_precondition(capsys):
     assert json.loads(out)["error"] == "precondition"
 
 
+def test_factor_identity_9x9(capsys):
+    eye = [[int(i == j) for j in range(9)] for i in range(9)]
+    rc, out = run_cli(capsys, "factor", "--ring", "Z/4", "--matrix", json.dumps(eye))
+    assert rc == 0
+    assert json.loads(out) == {"f1": eye, "f2": eye}
+
+
+def test_homology_double_rank6_within_default_budget(capsys, monkeypatch):
+    # the orbit tables of the shift quotient cost no more than the hom
+    # enumeration behind them
+    argv = ("homology", "--cat", "FI", "--module", "P0", "--variant", "double",
+            "--rank", "6", "--degree", "5")
+    monkeypatch.delenv("FICAT_BUDGET", raising=False)
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out) == {"H%d" % i: 0 for i in range(6)}
+    monkeypatch.setenv("FICAT_BUDGET", "100")
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 2
+    assert json.loads(out)["error"] == "budget"
+
+
 def test_exit_code_budget(capsys, monkeypatch):
     monkeypatch.setenv("FICAT_BUDGET", "2")
     # a ring no other test touches, so the hom cache is cold

@@ -5,7 +5,8 @@ Oracles: exhaustive enumeration of small matrix spaces, brute-force kernels
 and span sets, and independent GL counting formulas.
 """
 
-from itertools import product as iproduct
+import random
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
@@ -22,7 +23,6 @@ from ficat.matrices import (
     is_surjective,
     kernel_basis,
     mat_from_payload,
-    mat_mul,
     mat_to_payload,
     row_adapted,
     try_inverse,
@@ -33,6 +33,52 @@ from ficat.rings import make_ring
 def all_mats(ring, rows, cols):
     for data in iproduct(range(ring.size), repeat=rows * cols):
         yield Mat(ring, rows, cols, data)
+
+
+def perm_det(m):
+    """Leibniz expansion in the ring of m."""
+    R = m.ring
+    n = m.rows
+    acc = R.zero
+    for perm in permutations(range(n)):
+        term = R.one
+        for i in range(n):
+            term = R.mul(term, m.entry(i, perm[i]))
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = R.add(acc, R.neg(term) if inversions % 2 else term)
+    return acc
+
+
+def minor_factor(m):
+    """The factorization of a surjection by the maximal-minor search, or None
+    when m is not onto.
+
+    Per local factor: the lexicographically least column subset with a unit
+    maximal minor gives f2, and f1 = adj(f2) / det(f2) * f.  An onto map has
+    a unit maximal minor in every local factor.
+    """
+    dec = m.ring.local
+    d = m.rows
+    f1s, f2s = [], []
+    for i, fac in enumerate(dec.factors):
+        mi = Mat(fac, d, m.cols, tuple(dec.project_factor(x, i) for x in m.data))
+        cols = next((c for c in combinations(range(m.cols), d)
+                     if fac.is_unit(perm_det(mi.submatrix(range(d), c)))), None)
+        if cols is None:
+            return None
+        a = mi.submatrix(range(d), cols)
+        adj = [[perm_det(a.submatrix([t for t in range(d) if t != c], [t for t in range(d) if t != r]))
+                for c in range(d)] for r in range(d)]
+        adj = [[x if (r + c) % 2 == 0 else fac.neg(x) for c, x in enumerate(row)] for r, row in enumerate(adj)]
+        inv = Mat(fac, d, d, tuple(x for row in adj for x in row)).scale(fac.inverse(perm_det(a)))
+        f1s.append(inv.mul(mi))
+        f2s.append(a)
+
+    def lift(mats):
+        return Mat(m.ring, mats[0].rows, mats[0].cols,
+                   tuple(dec.lift(xs) for xs in zip(*(t.data for t in mats))))
+
+    return lift(f1s), lift(f2s)
 
 
 def brute_kernel_set(m):
@@ -62,25 +108,7 @@ def test_det_multiplicative_exhaustive_2x2_z4():
 
 
 def test_det_matches_permutation_expansion_3x3():
-    # independent oracle: explicit permutation-sum determinant
     z6 = make_ring("Z/6")
-    import itertools
-
-    def perm_det(m):
-        n = m.rows
-        acc = 0
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = 1
-            for i in range(n):
-                term *= m.entry(i, perm[i])
-            acc += sign * term
-        return acc % 6
-
     rng_mats = [
         Mat.from_rows(z6, [[1, 2, 3], [4, 5, 0], [2, 2, 1]]),
         Mat.from_rows(z6, [[5, 1, 1], [0, 3, 2], [4, 4, 4]]),
@@ -88,6 +116,26 @@ def test_det_matches_permutation_expansion_3x3():
     ]
     for m in rng_mats:
         assert det(m) == perm_det(m)
+
+
+def test_det_matches_leibniz_sizes_0_to_5():
+    rng = random.Random(7)
+    for spec in ["Z/4", "Z/12", "Z/2 x Z/9"]:
+        ring = make_ring(spec)
+        for n in range(6):
+            for _ in range(25):
+                m = Mat(ring, n, n, tuple(rng.randrange(ring.size) for _ in range(n * n)))
+                assert det(m) == perm_det(m), m
+
+
+def test_det_multiplicative_12x12_z12():
+    z12 = make_ring("Z/12")
+    rng = random.Random(12)
+    for _ in range(10):
+        a, b = (Mat(z12, 12, 12, tuple(rng.randrange(12) for _ in range(144))) for _ in range(2))
+        assert det(a.mul(b)) == z12.mul(det(a), det(b))
+    assert det(Mat.identity(z12, 12)) == 1
+    assert is_invertible(Mat.identity(z12, 12))
 
 
 def test_inverse_roundtrip_gl2_z4():
@@ -140,6 +188,22 @@ def test_surjective_matches_brute_image():
         for m in all_mats(ring, rows, cols):
             image = {m.matvec(v) for v in iproduct(range(ring.size), repeat=cols)}
             assert is_surjective(m) == (len(image) == ring.size ** rows)
+
+
+def test_surjective_and_factor_match_minor_oracle():
+    # every matrix of every shape up to 2 x 3
+    for spec in ["Z/4", "Z/6", "Z/8", "Z/2 x Z/3"]:
+        ring = make_ring(spec)
+        for rows in (1, 2):
+            for cols in (1, 2, 3):
+                for m in all_mats(ring, rows, cols):
+                    want = minor_factor(m)
+                    assert is_surjective(m) == (want is not None), m
+                    if want is None:
+                        with pytest.raises(PreconditionError):
+                            factor_surjection(m)
+                    else:
+                        assert factor_surjection(m) == want, m
 
 
 def test_kernel_basis_spans_brute_kernel():
@@ -282,8 +346,8 @@ def test_mat_mul_shapes_and_blocks():
     z2 = make_ring("Z/2")
     a = Mat.from_rows(z2, [[1, 0], [1, 1]])
     b = Mat.from_rows(z2, [[1], [1]])
-    assert mat_mul(a, b).to_rows() == [[1], [0]]
+    assert a.mul(b).to_rows() == [[1], [0]]
     with pytest.raises(PreconditionError):
-        mat_mul(b, a)
+        b.mul(a)
     c = hstack(a, b)
     assert c.to_rows() == [[1, 0, 1], [1, 1, 1]]

@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from ficat.errors import PreconditionError
-from ficat.rings import FiniteRing, local_factors, make_ring, smallest_prime, unit_inverse
+from ficat.rings import FiniteRing, make_ring, prime_power, smallest_prime
 
 
 def brute_inverse(ring, x):
@@ -94,14 +94,14 @@ def test_units_against_brute_force():
     for spec in ["Z/2", "Z/4", "Z/6", "Z/2 x Z/3", "Z/12", "Z/16", "Z/9"]:
         ring = make_ring(spec)
         for x in range(ring.size):
-            assert unit_inverse(ring, x) == brute_inverse(ring, x)
+            assert ring.inverse(x) == brute_inverse(ring, x)
 
 
 def test_unit_examples():
     z4 = make_ring("Z/4")
     assert z4.units() == (1, 3)
-    assert unit_inverse(z4, 3) == 3
-    assert unit_inverse(z4, 2) is None
+    assert z4.inverse(3) == 3
+    assert z4.inverse(2) is None
     z6 = make_ring("Z/6")
     assert z6.units() == (1, 5)
 
@@ -122,14 +122,16 @@ def test_smallest_prime():
     assert smallest_prime(9) == 3
     assert smallest_prime(35) == 5
     assert smallest_prime(13) == 13
+    assert prime_power(16) == (2, 4)
+    assert prime_power(9) == (3, 2)
 
 
 def test_local_factors_examples():
-    assert [r.spec for r in local_factors(make_ring("Z/6"))] == ["Z/2", "Z/3"]
-    assert [r.spec for r in local_factors(make_ring("Z/12"))] == ["Z/4", "Z/3"]
-    assert [r.spec for r in local_factors(make_ring("Z/4"))] == ["Z/4"]
-    assert [r.spec for r in local_factors(make_ring("Z/2 x Z/3"))] == ["Z/2", "Z/3"]
-    assert [r.spec for r in local_factors(make_ring("Z/60"))] == ["Z/4", "Z/3", "Z/5"]
+    assert [r.spec for r in make_ring("Z/6").local.factors] == ["Z/2", "Z/3"]
+    assert [r.spec for r in make_ring("Z/12").local.factors] == ["Z/4", "Z/3"]
+    assert [r.spec for r in make_ring("Z/4").local.factors] == ["Z/4"]
+    assert [r.spec for r in make_ring("Z/2 x Z/3").local.factors] == ["Z/2", "Z/3"]
+    assert [r.spec for r in make_ring("Z/60").local.factors] == ["Z/4", "Z/3", "Z/5"]
     assert make_ring("Z/16").is_local
     assert not make_ring("Z/6").is_local
 
@@ -166,7 +168,7 @@ def test_local_projection_roundtrip():
 def test_local_factors_are_local():
     # in a local ring the non-units form an ideal
     for spec in ["Z/6", "Z/12", "Z/60"]:
-        for f in local_factors(make_ring(spec)):
+        for f in make_ring(spec).local.factors:
             non = set(f.nonunits())
             for a in non:
                 for b in non:

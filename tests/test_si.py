@@ -79,6 +79,8 @@ def test_standard_form_examples():
         [0, 0, 0, 1],
         [0, 0, 3, 0],
     ]
+    # the nondegeneracy check takes a 12 x 12 determinant
+    assert standard_form(Z2, 6).dim == 12
 
 
 def test_form_validation():
