@@ -151,13 +151,6 @@ class Mat:
             rows.append(row)
         return Mat.from_rows(self.ring, rows) if rows else Mat(self.ring, 0, self.cols + 1, ())
 
-    def insert_row(self, pos, row):
-        if len(row) != self.cols or not 0 <= pos <= self.rows:
-            raise PreconditionError("row of length %d cannot go at %r" % (len(row), pos))
-        rows = self.to_rows()
-        rows.insert(pos, list(row))
-        return Mat.from_rows(self.ring, rows)
-
     def delete_rows(self, idxs):
         drop = set(idxs)
         rows = [list(self.row(i)) for i in range(self.rows) if i not in drop]
@@ -547,33 +540,3 @@ def column_span_set(m, budget=None):
         out.add(tuple(v))
     return out
 
-
-def mat_to_payload(m):
-    return {"rows": m.rows, "cols": m.cols, "entries": m.to_rows()}
-
-
-def mat_from_payload(ring, payload):
-    if isinstance(payload, list):
-        entries = payload
-    elif isinstance(payload, dict) and "entries" in payload:
-        entries = payload["entries"]
-    else:
-        raise PreconditionError("matrix payload must be a nested list or {'entries': ...}")
-    if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
-        raise PreconditionError("matrix entries must be a nested list")
-    rows = []
-    width = None
-    for r in entries:
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise PreconditionError("ragged matrix entries")
-        row = []
-        for x in r:
-            if not isinstance(x, int):
-                raise PreconditionError("matrix entries must be integers")
-            row.append(ring.reduce_int(x))
-        rows.append(row)
-    if not rows:
-        return Mat(ring, 0, 0, ())
-    return Mat.from_rows(ring, rows)

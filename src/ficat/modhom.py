@@ -111,8 +111,13 @@ def coef_field(spec):
 # ---------------------------------------------------------------------------
 # Row-space linear algebra over a CoefField
 # ---------------------------------------------------------------------------
-# Vectors are tuples of canonical field elements.  Over F_2 the heavy
-# routines switch to bit-packed rows (bit c of the integer is column c).
+# Vectors are tuples of canonical field elements.  One elimination serves
+# every question: SpanBuilder keeps an incremental row echelon, each row
+# stored under its pivot column with a unit pivot and zeros before it.
+# Rank is its dimension and membership is reduction to zero; basis() is
+# the one back-substitution, to the canonical reduced form from which rref,
+# kernels and coordinates are read.  Over F_2 the rows are bit-packed
+# integers (bit c is column c).
 
 def _bits_of(vec):
     b = 0
@@ -126,22 +131,19 @@ def _bits_to_vec(bits, width):
     return tuple((bits >> c) & 1 for c in range(width))
 
 
-def _rref_bits(rows):
-    basis = {}
+def _sub_multiple(p, r, c, row):
+    """r - c * row, entrywise over F_p (p > 0) or Q (p = 0)."""
+    if p:
+        return [(x - c * y) % p for x, y in zip(r, row)]
+    return [x - c * y if y else x for x, y in zip(r, row)]
+
+
+def echelon(field, rows, width):
+    """A SpanBuilder holding the row space of the given rows."""
+    sb = SpanBuilder(field, width)
     for r in rows:
-        while r:
-            j = (r & -r).bit_length() - 1
-            if j in basis:
-                r ^= basis[j]
-            else:
-                basis[j] = r
-                break
-    pivots = sorted(basis)
-    for idx, j in enumerate(pivots):
-        for j2 in pivots[:idx]:
-            if (basis[j2] >> j) & 1:
-                basis[j2] ^= basis[j]
-    return [basis[j] for j in pivots], tuple(pivots)
+        sb.add(r)
+    return sb
 
 
 def rref(field, rows, width):
@@ -150,42 +152,11 @@ def rref(field, rows, width):
     Returns (tuple of nonzero rows, tuple of pivot columns); the rows are in
     pivot order with unit pivots and zeros above and below each pivot.
     """
-    if field.p == 2:
-        bit_rows, pivots = _rref_bits([_bits_of(r) for r in rows])
-        return tuple(_bits_to_vec(r, width) for r in bit_rows), pivots
-    zero = field.zero
-    work = [list(r) for r in rows if any(x != zero for x in r)]
-    pivots = []
-    done = []
-    for col in range(width):
-        hit = None
-        for i, row in enumerate(work):
-            if row[col] != zero:
-                hit = i
-                break
-        if hit is None:
-            continue
-        row = work.pop(hit)
-        scale = field.inv(row[col])
-        row = [field.mul(scale, x) for x in row]
-        for other in (done, work):
-            for k, r2 in enumerate(other):
-                c = r2[col]
-                if c != zero:
-                    other[k] = [field.sub(x, field.mul(c, y)) for x, y in zip(r2, row)]
-        done.append(row)
-        pivots.append(col)
-        work = [r for r in work if any(x != zero for x in r)]
-        if not work:
-            break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return tuple(tuple(done[i]) for i in order), tuple(pivots[i] for i in order)
+    return echelon(field, rows, width).basis()
 
 
 def row_rank(field, rows, width):
-    if field.p == 2:
-        return len(_rref_bits([_bits_of(r) for r in rows])[1])
-    return len(rref(field, rows, width)[1])
+    return echelon(field, rows, width).dim()
 
 
 def kernel_vectors(field, rows, width):
@@ -202,17 +173,6 @@ def kernel_vectors(field, rows, width):
             v[p] = field.neg(row[free])
         out.append(tuple(v))
     return tuple(out)
-
-
-def span_contains(field, basis, pivots, vec):
-    """Membership in the row space of a canonical reduced basis."""
-    zero = field.zero
-    r = list(vec)
-    for row, p in zip(basis, pivots):
-        c = r[p]
-        if c != zero:
-            r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, row)]
-    return all(x == zero for x in r)
 
 
 def span_coords(field, basis, pivots, vec):
@@ -237,9 +197,10 @@ class SpanBuilder:
         self.field = field
         self.width = width
         self.bits = field.p == 2
-        self.rows = {}  # pivot column -> reduced row
+        self.rows = {}  # pivot column -> echelon row, unit pivot, zeros before it
 
     def _reduce(self, vec):
+        """(row, pivot) to insert for a new direction, or (_, None) in the span."""
         if self.bits:
             r = vec if isinstance(vec, int) else _bits_of(vec)
             while r:
@@ -249,17 +210,16 @@ class SpanBuilder:
                 r ^= self.rows[j]
             return 0, None
         field = self.field
-        zero = field.zero
         r = list(vec)
         for j in range(self.width):
             c = r[j]
-            if c == zero:
+            if not c:
                 continue
             row = self.rows.get(j)
             if row is None:
                 scale = field.inv(c)
                 return tuple(field.mul(scale, x) for x in r), j
-            r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, row)]
+            r[j:] = _sub_multiple(field.p, r[j:], c, row[j:])
         return None, None
 
     def add(self, vec):
@@ -278,11 +238,26 @@ class SpanBuilder:
         return len(self.rows)
 
     def basis(self):
-        """The canonical reduced basis as (rows, pivots) over dense tuples."""
+        """The canonical reduced basis as (rows, pivots) over dense tuples.
+
+        Each pivot column is cleared in the rows above it; a pivot row has
+        zeros before its pivot, so later clearings leave earlier ones intact.
+        """
+        pivots = sorted(self.rows)
+        rows = dict(self.rows)
+        p = self.field.p
+        for idx, j in enumerate(pivots):
+            row = rows[j]
+            for j2 in pivots[:idx]:
+                r = rows[j2]
+                if self.bits:
+                    if (r >> j) & 1:
+                        rows[j2] = r ^ row
+                elif r[j]:
+                    rows[j2] = r[:j] + tuple(_sub_multiple(p, r[j:], r[j], row[j:]))
         if self.bits:
-            ordered, pivots = _rref_bits(list(self.rows.values()))
-            return tuple(_bits_to_vec(r, self.width) for r in ordered), pivots
-        return rref(self.field, list(self.rows.values()), self.width)
+            return tuple(_bits_to_vec(rows[j], self.width) for j in pivots), tuple(pivots)
+        return tuple(rows[j] for j in pivots), tuple(pivots)
 
 
 def mat_mul(field, a, b):
@@ -369,24 +344,20 @@ class SparseMap:
         return tuple(tuple(c) for c in cols)
 
     def rank(self, field):
-        if self.rows == 0 or self.cols == 0:
-            return 0
         if field.p == 2:
-            bit_rows = [0] * self.rows
+            rows = [0] * self.rows
             for j, col in enumerate(self.columns):
                 for r, _ in col:
-                    bit_rows[r] |= 1 << j
-            return len(_rref_bits(bit_rows)[1])
-        return row_rank(field, self.dense_rows(field), self.cols)
-
-    def is_zero(self, field):
-        return all(not col for col in self.columns)
+                    rows[r] |= 1 << j
+        else:
+            rows = self.dense_rows(field)
+        return row_rank(field, rows, self.cols)
 
     def __repr__(self):
         return "SparseMap(%d x %d, %d entries)" % (self.rows, self.cols, sum(len(c) for c in self.columns))
 
 
-def _composite_is_zero(field, outer, inner):
+def _composite_vanishes(field, outer, inner):
     """Whether outer . inner = 0, column by column."""
     for j in range(inner.cols):
         if outer.apply_column(field, inner.column(j)):
@@ -579,7 +550,7 @@ class Submodule:
 
     def contains(self, rank, vec):
         basis, pivots = self.spans[rank]
-        return span_contains(self.parent.field, basis, pivots, vec)
+        return span_coords(self.parent.field, basis, pivots, vec) is not None
 
     def contains_submodule(self, other):
         if other.parent is not self.parent:
@@ -758,8 +729,7 @@ def init_module(sub):
         width = parent.dims[n]
         order = sorted(range(width), key=lambda pos: keys[pos], reverse=True)
         permuted = [tuple(row[order[t]] for t in range(width)) for row in rows]
-        _, pivots = rref(field, permuted, width)
-        out[n] = tuple(sorted(order[t] for t in pivots))
+        out[n] = tuple(sorted(order[t] for t in echelon(field, permuted, width).rows))
     return out
 
 
@@ -985,6 +955,10 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
                 reps_at[(p, n)] = reps
                 proj_at[(p, n)] = proj
                 spaces[(p, n)] = reps
+        steps = {
+            p: [cat.monoidal_sum(_skip_inclusion(cat, i, p), cat.identity(d0)) for i in range(1, p + 1)]
+            for p in range(1, q + 1)
+        }
         for n in range(nmax + 1):
             for p in range(1, q + 1):
                 reps = reps_at[(p, n)]
@@ -992,8 +966,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
                 rows = len(reps_at[(p - 1, n)])
                 entries = {}
                 for j, u in enumerate(reps):
-                    for i in range(1, p + 1):
-                        step = cat.monoidal_sum(_skip_inclusion(cat, i, p), cat.identity(d0))
+                    for i, step in enumerate(steps[p], 1):
                         v = cat.compose(u, step)
                         sign, r = proj[cat.key(v)]
                         coeff = field.of(sign if i % 2 == 1 else -sign)
@@ -1019,6 +992,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
                 offs_at[(p, n)] = offsets
                 spaces[(p, n)] = labels
                 blocks[(p, n)] = (offsets, info)
+        skips = {p: [_skip_inclusion(cat, i, p) for i in range(1, p + 1)] for p in range(1, q + 1)}
         for n in range(nmax + 1):
             for p in range(1, q + 1):
                 reps = reps_at[(p, n)]
@@ -1031,8 +1005,8 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
                 for h in reps:
                     rank_h, j_h = info_hi[cat.key(h)]
                     off_h = offs_hi[cat.key(h)]
-                    for i in range(1, p + 1):
-                        v = cat.compose(h, _skip_inclusion(cat, i, p))
+                    for i, skip in enumerate(skips[p], 1):
+                        v = cat.compose(h, skip)
                         sign, r = proj[cat.key(v)]
                         target = reps_at[(p - 1, n)][r]
                         rank_t, j_t = info_lo[cat.key(target)]
@@ -1052,7 +1026,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
 
     for n in range(nmax + 1):
         for p in range(2, q + 1):
-            if not _composite_is_zero(field, diffs[(p - 1, n)], diffs[(p, n)]):
+            if not _composite_vanishes(field, diffs[(p - 1, n)], diffs[(p, n)]):
                 raise InvariantViolation("d o d != 0 at degree %d, rank %d (%s)" % (p, n, variant))
     return ShiftComplex(module, variant, route, q, spaces, diffs, blocks)
 
@@ -1254,12 +1228,9 @@ def chain_homotopy_check(module, v_rank, route="auto", budget=None):
             )
         else:
             cycles = kernel_vectors(field, cplx.diff(i, v_rank).dense_rows(field), dim_i)
-        boundary_cols = list(cplx.diff(i + 1, v_rank + 1).dense_columns(field))
-        base_rank = row_rank(field, boundary_cols, cplx.dim(i, v_rank + 1)) if boundary_cols else 0
+        boundaries = echelon(field, cplx.diff(i + 1, v_rank + 1).dense_columns(field), cplx.dim(i, v_rank + 1))
         stab_dense = stab_maps[i].dense_rows(field)
-        images = [mat_vec(field, stab_dense, z) for z in cycles]
-        joint = row_rank(field, boundary_cols + images, cplx.dim(i, v_rank + 1)) if (boundary_cols or images) else 0
-        induced[i] = joint == base_rank
+        induced[i] = all(boundaries.contains(mat_vec(field, stab_dense, z)) for z in cycles)
 
     return {
         "cat": cat.describe(),

@@ -22,8 +22,6 @@ from .matrices import (
     inverse,
     kernel_basis,
     lift_mats,
-    mat_from_payload,
-    mat_to_payload,
     project_mat,
     row_adapted,
     try_inverse,
@@ -646,36 +644,3 @@ def make_osi_category(ring):
         _OSI_CACHE[ring] = got
     return got
 
-
-# ---------------------------------------------------------------------------
-# payloads
-# ---------------------------------------------------------------------------
-
-def form_to_payload(form):
-    return {"ring": form.ring.spec, "gram": mat_to_payload(form.gram)}
-
-
-def form_from_payload(ring, payload):
-    if "gram" not in payload:
-        raise PreconditionError("form payload must carry a 'gram' entry")
-    return SymplecticForm(mat_from_payload(ring, payload["gram"]))
-
-
-def si_to_payload(mor):
-    return {
-        "mat": mat_to_payload(mor.f),
-        "src_form": mat_to_payload(mor.src_form.gram),
-        "dst_form": mat_to_payload(mor.dst_form.gram),
-    }
-
-
-def si_from_payload(ring, payload):
-    for key in ("mat", "src_form", "dst_form"):
-        if key not in payload:
-            raise PreconditionError("symplectic morphism payload must carry %r" % key)
-    return SiMorphism(
-        mat_from_payload(ring, payload["mat"]),
-        SymplecticForm(mat_from_payload(ring, payload["src_form"])),
-        SymplecticForm(mat_from_payload(ring, payload["dst_form"])),
-        check=True,
-    )

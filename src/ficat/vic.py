@@ -29,8 +29,6 @@ from .matrices import (
     is_surjective,
     kernel_basis,
     lift_mats,
-    mat_from_payload,
-    mat_to_payload,
     try_inverse,
 )
 from .rings import prime_power
@@ -617,19 +615,3 @@ def vi_v_hom_counts(ring, m, n, budget=None):
         v += (s * i) // g
     return vi, v
 
-
-# ---------------------------------------------------------------------------
-# JSON payloads
-# ---------------------------------------------------------------------------
-
-def vic_to_payload(mor):
-    return {"f": mat_to_payload(mor.f), "fp": mat_to_payload(mor.fp)}
-
-
-def vic_from_payload(ring, payload, adapted=False):
-    if not isinstance(payload, dict) or "f" not in payload or "fp" not in payload:
-        raise PreconditionError("morphism payload must carry 'f' and 'fp'")
-    f = mat_from_payload(ring, payload["f"])
-    fp = mat_from_payload(ring, payload["fp"])
-    cls = OvicMorphism if adapted else VicMorphism
-    return cls(f, fp, check=True)

@@ -19,14 +19,13 @@ and either repeats an earlier letter or is immediately repeated.  The
 decision procedure here searches reverse deletions from the larger word; the
 forward breadth-first search over insertion steps is kept as an independent
 oracle.  The covered-subsequence test is a sound prefilter but accepts pairs
-the chain order rejects, so it is never the final answer.
+the chain order rejects, so it is never the final answer.  The pair-deletion
+order is subsequence embedding of the pair words, decided greedily; a
+breadth-first deletion search is kept as its oracle.
 
 All positions are 0-based internally; the public insertion constructor
 speaks the 1-based language of pivot-set reports.
 """
-
-from itertools import combinations
-from math import comb
 
 from .errors import PreconditionError, InvariantViolation, charge
 from .matrices import Mat, lift_mats, project_mat, row_adapted
@@ -445,48 +444,14 @@ def osi_total_cmp(f, g):
 # the pair-deletion order on row-adapted symplectic maps
 # ---------------------------------------------------------------------------
 
-def _osi_deletion_sets(f_mat, g_mat, profile_g_local, pairs_f, pairs_g, budget=None):
-    """All sorted pair index sets whose deletion carries g_mat to f_mat."""
-    pivots = set(profile_g_local)
-    pivot_pairs = set()
-    for t in range(pairs_g):
-        if 2 * t in pivots or 2 * t + 1 in pivots:
-            pivot_pairs.add(t)
-    candidates = [t for t in range(pairs_g) if t not in pivot_pairs]
-    need = pairs_g - pairs_f
-    if need < 0 or need > len(candidates):
-        return
-    charge(comb(len(candidates), need), budget, "pair deletion subset search")
-    for subset in combinations(candidates, need):
-        idxs = []
-        for t in subset:
-            idxs.extend((2 * t, 2 * t + 1))
-        if g_mat.delete_rows(idxs) == f_mat:
-            yield subset
-
-
-def osi_preceq(f, g, budget=None):
+def osi_preceq(f, g):
     """True when f arises from g by deleting coordinate pairs disjoint from
-    the pivot rows, independently in every local factor."""
-    _osi_pair_check(f, g)
-    if f.dst > g.dst:
-        return False
-    profile_g = _osi_profile(g)
-    _osi_profile(f)
-    for i, pivots_g in enumerate(profile_g.per_factor):
-        f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
-        found = False
-        for _ in _osi_deletion_sets(f_i, g_i, pivots_g, f.dst, g.dst, budget):
-            found = True
-            break
-        if not found:
-            return False
-    return True
+    the pivot rows, independently in every local factor.
 
-
-def osi_preceq_words(f, g):
-    """The same order decided on the pair-word encodings by subsequence
-    embedding."""
+    That is a subsequence embedding of the pair words, which greedy
+    matching decides: matched letters carry equal spades, and both words
+    carry one spade per pivot row, so no deleted pair holds a pivot row.
+    """
     _osi_pair_check(f, g)
     return all(word_leq("higman", wf, wg) for wf, wg in zip(osi_words(f), osi_words(g)))
 

@@ -46,19 +46,25 @@ def test_homology_example(capsys):
 # ---------------------------------------------------------------------------
 
 def test_morphism_json_roundtrip_every_category():
-    r2 = make_ring("Z/2")
-    cats = [
-        FiCategory(),
-        make_vic_category(r2),
-        make_ovic_category(r2),
-        make_si_category(r2),
-        make_osi_category(r2),
+    r2, r4, r6 = make_ring("Z/2"), make_ring("Z/4"), make_ring("Z/6")
+    cases = [
+        (FiCategory(), 1, 2),
+        (make_vic_category(r2), 1, 2),
+        (make_ovic_category(r2), 1, 2),
+        (make_si_category(r2), 1, 2),
+        (make_osi_category(r2), 1, 2),
+        (make_vic_category(r6), 1, 1),
+        (make_ovic_category(r6), 1, 1),
+        (make_si_category(r4), 1, 1),
+        (make_osi_category(r4), 1, 1),
     ]
-    for cat in cats:
-        for mor in cat.hom(1, 2):
+    for cat, src, dst in cases:
+        homs = cat.hom(src, dst)
+        assert homs
+        for mor in homs:
             env = mor_to_json(cat, mor)
             assert env["cat"] == cat.describe()
-            assert env["src"] == 1 and env["dst"] == 2
+            assert env["src"] == src and env["dst"] == dst
             back = mor_from_json(cat, json.loads(json.dumps(env)), "--x")
             assert back == mor
 
@@ -258,6 +264,18 @@ def test_invalid_morphism_payloads(capsys):
                       "--f", '{"f": [[1]], "fp": [[1]]}',
                       "--g", '{"f": [[1]], "fp": [[1]]}')
     assert rc == 1
+    # ragged matrix rows
+    rc, out = run_cli(capsys, "compose", "--cat", "VIC", "--ring", "Z/2",
+                      "--f", '{"f": [[1], [0, 1]], "fp": [[1, 0]]}',
+                      "--g", '{"f": [[1], [0]], "fp": [[1, 0]]}')
+    assert rc == 1
+    assert json.loads(out)["error"] == "precondition"
+    # a non-integer entry
+    rc, out = run_cli(capsys, "compose", "--cat", "SI", "--ring", "Z/2",
+                      "--f", '{"f": [[1, 0], [0.5, 1]]}',
+                      "--g", '{"f": [[1, 0], [0, 1]]}')
+    assert rc == 1
+    assert json.loads(out)["error"] == "precondition"
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from ficat.matrices import (
     is_invertible,
     is_surjective,
     kernel_basis,
-    mat_from_payload,
-    mat_to_payload,
     row_adapted,
     try_inverse,
 )
@@ -327,19 +325,6 @@ def test_adapted_composition_closure_product_ring():
             assert p is not None
             for k in range(2):
                 assert p.per_factor[k] == tuple(pg.per_factor[k][t] for t in pf.per_factor[k])
-
-
-def test_payload_roundtrip():
-    z4 = make_ring("Z/4")
-    m = Mat.from_rows(z4, [[1, 2], [3, 0]])
-    payload = mat_to_payload(m)
-    assert payload == {"rows": 2, "cols": 2, "entries": [[1, 2], [3, 0]]}
-    assert mat_from_payload(z4, payload) == m
-    assert mat_from_payload(z4, [[5, -1]]) == Mat.from_rows(z4, [[1, 3]])
-    with pytest.raises(PreconditionError):
-        mat_from_payload(z4, [[1], [2, 3]])
-    with pytest.raises(PreconditionError):
-        mat_from_payload(z4, "nope")
 
 
 def test_mat_mul_shapes_and_blocks():

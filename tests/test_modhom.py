@@ -1,14 +1,15 @@
 """Tests for truncated modules, shift complexes, homology and generation.
 
 Oracles come first: independent combinatorial counts (derangements, falling
-factorials, binomials), brute-force row spaces over small fields, and a
-sampling oracle for initial positions.  The representable and complement
-shift routes cross-check each other throughout.
+factorials, binomials), brute-force row spaces over small fields, ranks
+over Q from nonzero minors, and a sampling oracle for initial positions.
+The representable and complement shift routes cross-check each other
+throughout.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -41,7 +42,7 @@ from ficat.modhom import (
     row_rank,
     rref,
     shift_complex,
-    span_contains,
+    span_coords,
     submodule_closure,
     zero_module,
 )
@@ -80,6 +81,29 @@ def brute_row_space(p, rows, width):
                 v[j] = (v[j] + c * x) % p
         space.add(tuple(v))
     return space
+
+
+def leibniz_det(mat):
+    """Determinant in Fraction by the permutation expansion."""
+    n = len(mat)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(mat[i][j])
+        total += term
+    return total
+
+
+def minor_rank(mat, cols):
+    """Rank over Q as the largest k with a nonzero k x k minor."""
+    for k in range(min(len(mat), cols), 0, -1):
+        for rs in combinations(range(len(mat)), k):
+            for cs in combinations(range(cols), k):
+                if leibniz_det([[mat[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
 
 
 def random_matrix(rng, field, rows, cols):
@@ -127,6 +151,8 @@ def test_rref_kernel_and_rank_against_brute_force():
             mat = random_matrix(rng, field, rows, cols)
             basis, pivots = rref(field, mat, cols)
             assert len(basis) == len(pivots) == row_rank(field, mat, cols)
+            if field.p == 0:
+                assert len(pivots) == minor_rank(mat, cols)
             assert list(pivots) == sorted(pivots)
             for i, (row, p) in enumerate(zip(basis, pivots)):
                 assert row[p] == field.one
@@ -135,7 +161,7 @@ def test_rref_kernel_and_rank_against_brute_force():
                         assert row2[p] == field.zero
             # row space preserved in both directions
             for row in mat:
-                assert span_contains(field, basis, pivots, row)
+                assert span_coords(field, basis, pivots, row) is not None
             joined = list(mat) + list(basis)
             assert row_rank(field, joined, cols) == len(pivots)
             # kernel: right dimension, actually annihilated
@@ -163,7 +189,7 @@ def test_span_builder_tracks_dimension_and_membership():
         basis, pivots = sb.basis()
         assert len(basis) == row_rank(field, vecs, 4)
         for v in vecs:
-            assert span_contains(field, basis, pivots, v)
+            assert span_coords(field, basis, pivots, v) is not None
 
 
 def _to_builder(sb, vec):
@@ -178,7 +204,9 @@ def _to_builder(sb, vec):
 
 def test_sparse_map_roundtrip_and_rank():
     rng = random.Random(7)
-    for field in (CoefField(2), CoefField(0)):
+    # rref, row_rank and SparseMap.rank share one elimination, so the rank
+    # is checked against minors (Q) and the enumerated row space (F_p)
+    for field in (CoefField(2), CoefField(3), CoefField(0)):
         for _ in range(15):
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
@@ -191,7 +219,12 @@ def test_sparse_map_roundtrip_and_rank():
             dense = sm.dense_rows(field)
             for (r, c), v in entries.items():
                 assert dense[r][c] == v
-            assert sm.rank(field) == row_rank(field, dense, cols)
+            rank = sm.rank(field)
+            assert rank == row_rank(field, dense, cols)
+            if field.p:
+                assert len(brute_row_space(field.p, dense, cols)) == field.p ** rank
+            else:
+                assert rank == minor_rank(dense, cols)
     empty = SparseMap.from_entries(CoefField(0), 3, 0, {})
     assert empty.rank(CoefField(0)) == 0
 

@@ -16,15 +16,11 @@ from ficat.rings import make_ring
 from ficat.si import (
     SiMorphism,
     SymplecticForm,
-    form_from_payload,
-    form_to_payload,
     make_osi_category,
     make_si_category,
     osi_factor,
     osi_prime_hom,
     perp,
-    si_from_payload,
-    si_to_payload,
     sp_order,
     standard_form,
     symplectic_basis_check,
@@ -347,19 +343,3 @@ def test_osi_category():
     comp = osi.compose(osi.hom(2, 3)[0], osi.hom(1, 2)[0])
     assert osi.validate(comp)
 
-
-# ---------------------------------------------------------------------------
-# payloads
-# ---------------------------------------------------------------------------
-
-def test_payload_roundtrip():
-    si = make_si_category(Z4)
-    f = si.hom(1, 2)[7]
-    back = si_from_payload(Z4, si_to_payload(f))
-    assert back == f
-    form = standard_form(Z4, 2)
-    assert form_from_payload(Z4, form_to_payload(form)) == form
-    with pytest.raises(PreconditionError):
-        si_from_payload(Z4, {"mat": si_to_payload(f)["mat"]})
-    with pytest.raises(PreconditionError):
-        form_from_payload(Z4, {})

@@ -25,8 +25,6 @@ from ficat.vic import (
     ovic_hom_enumerate,
     vi_v_hom_counts,
     vic_factor,
-    vic_from_payload,
-    vic_to_payload,
 )
 
 Z2 = make_ring("Z/2")
@@ -312,14 +310,3 @@ def test_vic_group_structure_report():
     assert rep["aut_residual"] == 1
     assert rep["transitive"] and rep["counting_identity"] and rep["orbit_stabilizer_ok"]
 
-
-# ----- payloads -----
-
-def test_vic_payload_roundtrip():
-    vic = make_vic_category(Z6)
-    mor = vic.hom(1, 2)[7]
-    payload = vic_to_payload(mor)
-    back = vic_from_payload(Z6, payload)
-    assert back == mor
-    with pytest.raises(PreconditionError):
-        vic_from_payload(Z6, {"f": payload["f"]})
