@@ -35,18 +35,7 @@ from .modhom import (
 from .rings import make_ring
 from .si import make_osi_category, make_si_category, osi_factor, symplectic_check
 from .vic import OvicMorphism, gl_order, gl_pairs, make_ovic_category, make_vic_category, ovic_count
-from .wporder import (
-    osi_insertion_phi,
-    osi_preceq,
-    osi_preceq_bfs,
-    osi_total_cmp,
-    osi_total_key,
-    ovic_phi_for,
-    ovic_preceq,
-    ovic_preceq_bfs,
-    ovic_total_cmp,
-    ovic_total_key,
-)
+from .wporder import order_of
 
 
 def _record(num, name, profile, ok, detail):
@@ -79,11 +68,8 @@ def check_01(profile="full", seed=0):
     comps = [cat.compose(g1, f1), cat.compose(g1, f2), cat.compose(g2, f1), cat.compose(g2, f2)]
     got = [c.fp.to_rows() for c in comps]
     want = [[[4, 2, 1]], [[12, 6, 1]], [[12, 2, 1]], [[4, 6, 1]]]
-    signs = (
-        ovic_total_cmp(f1, f2),
-        ovic_total_cmp(comps[0], comps[1]),
-        ovic_total_cmp(comps[2], comps[3]),
-    )
+    total_cmp = order_of(cat).total_cmp
+    signs = (total_cmp(f1, f2), total_cmp(comps[0], comps[1]), total_cmp(comps[2], comps[3]))
     ok = got == want and signs == (-1, -1, 1)
     detail = "split rows %s, comparator signs %s" % (
         [r[0] for r in got],
@@ -216,23 +202,20 @@ def check_03(profile="full", seed=0):
 # 4. order laws on exhaustively enumerated morphism posets
 # ---------------------------------------------------------------------------
 
-def _ovic_poset(spec, nmax):
-    cat = make_ovic_category(make_ring(spec))
-    els = []
-    for n in range(1, nmax + 1):
-        els.extend(cat.hom(1, n))
-    return cat, els
+def _posets(profile):
+    """The three exhaustively enumerated posets of criteria 4 and 5:
+    (category, nmax, hom(1, n) for 1 <= n <= nmax)."""
+    top = 3 if profile == "full" else 2
+    for make, spec, nmax in (
+        (make_ovic_category, "Z/2", 3),
+        (make_ovic_category, "Z/4", top),
+        (make_osi_category, "Z/2", top),
+    ):
+        cat = make(make_ring(spec))
+        yield cat, nmax, [m for n in range(1, nmax + 1) for m in cat.hom(1, n)]
 
 
-def _osi_poset(nmax):
-    cat = make_osi_category(make_ring("Z/2"))
-    els = []
-    for n in range(1, nmax + 1):
-        els.extend(cat.hom(1, n))
-    return cat, els
-
-
-def _order_laws(els, preceq, preceq_bfs, total_cmp, total_key):
+def _order_laws(els, order):
     """Partial-order laws, oracle agreement, and the total extension on one
     exhaustively enumerated poset.  Returns (stats, problems)."""
     problems = []
@@ -240,8 +223,8 @@ def _order_laws(els, preceq, preceq_bfs, total_cmp, total_key):
     for a in els:
         out = set()
         for b in els:
-            x = preceq(a, b)
-            if x != preceq_bfs(a, b):
+            x = order.preceq(a, b)
+            if x != order.preceq_bfs(a, b):
                 problems.append(("oracle-disagreement", repr(a), repr(b)))
             if x:
                 out.add(b)
@@ -257,37 +240,25 @@ def _order_laws(els, preceq, preceq_bfs, total_cmp, total_key):
             for c in rel[b]:
                 if c not in rel[a]:
                     problems.append(("transitivity", repr(a), repr(b), repr(c)))
-    if len(set(total_key(a) for a in els)) != len(els):
+    if len(set(order.total_key(a) for a in els)) != len(els):
         problems.append(("total-key-collision", len(els)))
     for a in els:
         for b in els:
-            c = total_cmp(a, b)
-            if c != -total_cmp(b, a) or (c == 0) != (a == b):
+            c = order.total_cmp(a, b)
+            if c != -order.total_cmp(b, a) or (c == 0) != (a == b):
                 problems.append(("comparator-laws", repr(a), repr(b)))
             if b in rel[a] and a != b and c != -1:
                 problems.append(("extension", repr(a), repr(b)))
     return {"size": len(els), "related": related}, problems
 
 
-def _c4_sizes(profile):
-    if profile == "full":
-        return (("Z/2", 3), ("Z/4", 3)), 3
-    return (("Z/2", 3), ("Z/4", 2)), 2
-
-
 def check_04(profile="full", seed=0):
-    ovic_sizes, osi_nmax = _c4_sizes(profile)
     bad = []
     stats = []
-    for spec, nmax in ovic_sizes:
-        _, els = _ovic_poset(spec, nmax)
-        st, problems = _order_laws(els, ovic_preceq, ovic_preceq_bfs, ovic_total_cmp, ovic_total_key)
-        stats.append("OVIC(%s) n<=%d: %d elements, %d related" % (spec, nmax, st["size"], st["related"]))
+    for cat, nmax, els in _posets(profile):
+        st, problems = _order_laws(els, order_of(cat))
+        stats.append("%s n<=%d: %d elements, %d related" % (cat.describe(), nmax, st["size"], st["related"]))
         bad.extend(problems)
-    _, els = _osi_poset(osi_nmax)
-    st, problems = _order_laws(els, osi_preceq, osi_preceq_bfs, osi_total_cmp, osi_total_key)
-    stats.append("OSI(Z/2) n<=%d: %d elements, %d related" % (osi_nmax, st["size"], st["related"]))
-    bad.extend(problems)
     ok = not bad
     detail = "; ".join(stats)
     if bad:
@@ -300,56 +271,37 @@ def check_04(profile="full", seed=0):
 # ---------------------------------------------------------------------------
 
 def check_05(profile="full", seed=0):
-    ovic_sizes, osi_nmax = _c4_sizes(profile)
     bad = []
     realized = 0
     monotone = 0
-    for spec, nmax in ovic_sizes:
-        cat, els = _ovic_poset(spec, nmax)
+    gram_checked = 0
+    for cat, _, els in _posets(profile):
+        order = order_of(cat)
+        label = cat.describe()
         by_dst = {}
         for m in els:
             by_dst.setdefault(m.dst, []).append(m)
         for a in els:
             for b in els:
-                if not ovic_preceq(a, b):
+                if not order.preceq(a, b):
                     continue
-                phi = ovic_phi_for(a, b)
+                phi = order.phi(a, b)
                 realized += 1
+                if cat.name == "OSI":
+                    if not symplectic_check(phi.f, phi.src_form, phi.dst_form):
+                        bad.append((label, "gram", repr(a), repr(b)))
+                        continue
+                    gram_checked += 1
                 if cat.compose(phi, a) != b:
-                    bad.append((spec, "recomposition", repr(a), repr(b)))
+                    bad.append((label, "recomposition", repr(a), repr(b)))
                     continue
                 if a == b:
                     continue
                 for a1 in by_dst[a.dst]:
-                    if ovic_total_cmp(a1, a) == -1:
+                    if order.total_cmp(a1, a) == -1:
                         monotone += 1
-                        if ovic_total_cmp(cat.compose(phi, a1), b) != -1:
-                            bad.append((spec, "monotonicity", repr(a), repr(b), repr(a1)))
-    ocat, oels = _osi_poset(osi_nmax)
-    o_by_dst = {}
-    for m in oels:
-        o_by_dst.setdefault(m.dst, []).append(m)
-    gram_checked = 0
-    for a in oels:
-        for b in oels:
-            if not osi_preceq(a, b):
-                continue
-            phi = osi_insertion_phi(a, b)
-            realized += 1
-            if not symplectic_check(phi.f, phi.src_form, phi.dst_form):
-                bad.append(("OSI", "gram", repr(a), repr(b)))
-                continue
-            gram_checked += 1
-            if ocat.compose(phi, a) != b:
-                bad.append(("OSI", "recomposition", repr(a), repr(b)))
-                continue
-            if a == b:
-                continue
-            for a1 in o_by_dst[a.dst]:
-                if osi_total_cmp(a1, a) == -1:
-                    monotone += 1
-                    if osi_total_cmp(ocat.compose(phi, a1), b) != -1:
-                        bad.append(("OSI", "monotonicity", repr(a), repr(b), repr(a1)))
+                        if order.total_cmp(cat.compose(phi, a1), b) != -1:
+                            bad.append((label, "monotonicity", repr(a), repr(b), repr(a1)))
     ok = not bad
     detail = "%d realizations recomposed, %d monotonicity instances, %d symplectic gram checks" % (
         realized,

@@ -21,14 +21,7 @@ from .modhom import coef_field, complex_homology, representable, shift_complex, 
 from .rings import make_ring
 from .si import SiMorphism, SymplecticForm, make_osi_category, make_si_category, standard_form
 from .vic import OvicMorphism, VicMorphism, make_ovic_category, make_vic_category
-from .wporder import (
-    osi_insertion_phi,
-    osi_preceq,
-    osi_total_cmp,
-    ovic_phi_for,
-    ovic_preceq,
-    ovic_total_cmp,
-)
+from .wporder import order_of
 from . import checks as checks_mod
 
 
@@ -239,23 +232,15 @@ def _cmd_compose(args):
     return 0
 
 
-def _order_functions(cat):
-    if cat.name == "OVIC":
-        return ovic_preceq, ovic_total_cmp, ovic_phi_for
-    if cat.name == "OSI":
-        return osi_preceq, osi_total_cmp, osi_insertion_phi
-    raise PreconditionError("order operations require the OVIC or OSI category, not %s" % cat.name)
-
-
 def _cmd_order_cmp(args):
     cat = _build_cat(args)
-    preceq, total_cmp, _ = _order_functions(cat)
+    order = order_of(cat)
     lhs = mor_from_json(cat, _parse_json(args.lhs, "--lhs"), "--lhs")
     rhs = mor_from_json(cat, _parse_json(args.rhs, "--rhs"), "--rhs")
     if args.relation == "preceq":
-        result = preceq(lhs, rhs)
+        result = order.preceq(lhs, rhs)
     else:
-        result = {-1: "Less", 0: "Equal", 1: "Greater"}[total_cmp(lhs, rhs)]
+        result = {-1: "Less", 0: "Equal", 1: "Greater"}[order.total_cmp(lhs, rhs)]
     _emit(args, {
         "relation": args.relation,
         "lhs": mor_to_json(cat, lhs),
@@ -267,10 +252,10 @@ def _cmd_order_cmp(args):
 
 def _cmd_order_phi(args):
     cat = _build_cat(args)
-    _, _, phi_for = _order_functions(cat)
+    order = order_of(cat)
     lhs = mor_from_json(cat, _parse_json(args.lhs, "--lhs"), "--lhs")
     rhs = mor_from_json(cat, _parse_json(args.rhs, "--rhs"), "--rhs")
-    _emit(args, mor_to_json(cat, phi_for(lhs, rhs)))
+    _emit(args, mor_to_json(cat, order.phi(lhs, rhs)))
     return 0
 
 

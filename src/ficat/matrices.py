@@ -183,12 +183,6 @@ def hstack(a, b):
     return Mat.from_rows(a.ring, rows)
 
 
-def vstack(a, b):
-    if a.ring != b.ring or a.cols != b.cols:
-        raise PreconditionError("vstack needs equal column counts over one ring")
-    return Mat(a.ring, a.rows + b.rows, a.cols, a.data + b.data)
-
-
 def block_diag(ring, mats):
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)

@@ -20,17 +20,16 @@ truncation.  On top of that this module provides:
   * the finite-generation surjectivity report for d_1: (Sigma_1 M)_V -> M_V.
 
 Representable shifts are realized through the basis bijection with
-hom(p + d, n); the explicit complement-block construction is kept as an
-independent route ("complement") and doubles as a cross-check oracle.
+hom(p + d, n); every other module takes the explicit complement-block
+construction (route "complement"), which on the whole of a representable,
+taken as a submodule, cross-checks the first.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import InvariantViolation, PreconditionError, charge
-from .vic import OvicCategory
-from .si import OsiCategory
-from .wporder import osi_total_key, ovic_total_key
+from .wporder import order_of
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +438,7 @@ class TruncatedModule:
             raise PreconditionError("initial terms are defined on representable modules")
         got = self._total_keys.get(n)
         if got is None:
-            if isinstance(self.cat, OvicCategory):
-                key_fn = ovic_total_key
-            elif isinstance(self.cat, OsiCategory):
-                key_fn = osi_total_key
-            else:
-                raise PreconditionError(
-                    "initial terms need the ordered categories, not %s" % self.cat.describe()
-                )
+            key_fn = order_of(self.cat).total_key
             got = tuple(key_fn(u) for u in self.labels[n])
             if len(set(got)) != len(got):
                 raise InvariantViolation("total-order keys collide at rank %d" % n)
@@ -686,16 +678,10 @@ def init_of(module, rank, vec):
     the largest basis morphism present in the staged total order; init(0) = 0.
     """
     field = module.field
-    keys = module.total_keys(rank)
     vec = tuple(field.of(x) for x in vec)
     if len(vec) != module.dims[rank]:
         raise PreconditionError("element at rank %d has length %d, expected %d" % (rank, len(vec), module.dims[rank]))
-    best = None
-    for pos, x in enumerate(vec):
-        if x != field.zero and (best is None or keys[pos] > keys[best]):
-            best = pos
-    if best is None:
-        return tuple(field.zero for _ in vec)
+    best = init_positions(module, rank, vec)
     return tuple(vec[best] if pos == best else field.zero for pos in range(len(vec)))
 
 
@@ -886,7 +872,7 @@ class ShiftComplex:
         return "ShiftComplex(%s, %s, q=%d, N=%d)" % (self.module.name, self.variant, self.q, self.module.max_rank)
 
 
-def _complement_blocks(cat, module, reps, budget=None):
+def _complement_blocks(cat, module, reps):
     """Block layout over complement ranks: labels, offsets and inclusions."""
     offsets = {}
     labels = []
@@ -902,13 +888,14 @@ def _complement_blocks(cat, module, reps, budget=None):
     return tuple(labels), offsets, info
 
 
-def shift_complex(module, q, variant="plain", route="auto", budget=None):
+def shift_complex(module, q, variant="plain", budget=None):
     """Build the shift complex of a module up to chain degree q.
 
-    route "representable" realizes (Sigma_p P_d)_n on the basis hom(p+d, n)
-    with the differential acting by precomposition; route "complement"
+    A representable module takes the route "representable": it realizes
+    (Sigma_p P_d)_n on the basis hom(p+d, n) with the differential acting by
+    precomposition.  Any other module takes the route "complement": it
     assembles the chain spaces from explicit complements of each h and acts
-    through the module's matrices.  "auto" picks the first when available.
+    through the module's matrices.
     """
     cat = module.cat
     field = module.field
@@ -922,12 +909,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
         raise PreconditionError("chain degree bound must be a non-negative integer, got %r" % (q,))
     if q > module.max_rank:
         raise PreconditionError("chain degree bound %d exceeds the truncation %d" % (q, module.max_rank))
-    if route == "auto":
-        route = "representable" if module.kind == "representable" else "complement"
-    if route not in ("representable", "complement"):
-        raise PreconditionError("unknown shift route %r" % (route,))
-    if route == "representable" and module.kind != "representable":
-        raise PreconditionError("the representable route needs a representable module")
+    route = "representable" if module.kind == "representable" else "complement"
 
     nmax = module.max_rank
     groups = {p: _shift_group(cat, variant, p, budget=budget) for p in range(q + 1)}
@@ -978,7 +960,7 @@ def shift_complex(module, q, variant="plain", route="auto", budget=None):
             for p in range(q + 1):
                 basis = cat.hom(p, n, budget=budget)
                 reps, proj = _orbit_tables(cat, basis, groups[p])
-                labels, offsets, info = _complement_blocks(cat, module, reps, budget=budget)
+                labels, offsets, info = _complement_blocks(cat, module, reps)
                 if len(groups[p]) > 1:
                     for h in basis:
                         rank_h, j_h = cat.complement_of(h)
@@ -1131,7 +1113,7 @@ def _rotate_last(cat, mor):
     return cat.compose(widened, rotation)
 
 
-def chain_homotopy_check(module, v_rank, route="auto", budget=None):
+def chain_homotopy_check(module, v_rank, budget=None):
     """Verify dG + Gd = stabilization on the plain shift complex at one rank.
 
     G sends a basis morphism u to its widening with a fresh slot rotated to
@@ -1145,15 +1127,14 @@ def chain_homotopy_check(module, v_rank, route="auto", budget=None):
     if v_rank + 1 > module.max_rank:
         raise PreconditionError("rank %d + 1 exceeds the truncation %d" % (v_rank, module.max_rank))
     q = v_rank + 1
-    cplx = shift_complex(module, q, "plain", route=route, budget=budget)
-    route = cplx.route
+    cplx = shift_complex(module, q, "plain", budget=budget)
     iota = cat.canonical(v_rank, v_rank + 1)
 
     def rep_index(p, n):
         labels = cplx.spaces[(p, n)]
         return {cat.key(u): i for i, u in enumerate(labels)}
 
-    if route == "representable":
+    if cplx.route == "representable":
         index_hi = {p: rep_index(p, v_rank + 1) for p in range(q + 1)}
 
         def g_map(p):
@@ -1237,7 +1218,7 @@ def chain_homotopy_check(module, v_rank, route="auto", budget=None):
         "module": module.name,
         "rank": v_rank,
         "q": q,
-        "route": route,
+        "route": cplx.route,
         "homotopy": per_degree,
         "homotopy_ok": all(per_degree.values()),
         "induced_zero": induced,
@@ -1250,11 +1231,11 @@ def chain_homotopy_check(module, v_rank, route="auto", budget=None):
 # Finite generation
 # ---------------------------------------------------------------------------
 
-def generation_degree(module, route="auto", budget=None):
+def generation_degree(module, budget=None):
     """Per rank, whether d_1: (Sigma_1 M)_V -> M_V is onto, and the least
     rank from which it stays onto within the truncation."""
     field = module.field
-    cplx = shift_complex(module, 1, "plain", route=route, budget=budget)
+    cplx = shift_complex(module, 1, "plain", budget=budget)
     per_rank = {}
     for n in range(module.max_rank + 1):
         dim0 = cplx.dim(0, n)

@@ -241,12 +241,6 @@ class FiniteRing:
     def __repr__(self):
         return "FiniteRing(%r)" % self.spec
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteRing) and other.spec == self.spec
-
-    def __hash__(self):
-        return hash(("FiniteRing", self.spec))
-
 
 class LocalDecomposition:
     """R = R_1 x ... x R_k via primitive idempotents, factors canonically ordered.

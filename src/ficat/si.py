@@ -71,7 +71,7 @@ class SymplecticForm:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.gram.data))
+        return hash((self.ring.spec, self.gram.data))
 
     def __repr__(self):
         return "SymplecticForm(%r, %r)" % (self.ring.spec, self.gram.to_rows())
@@ -177,6 +177,21 @@ def sp_order(ring, n):
     for fac in ring.local.factors:
         p, k = prime_power(fac.size)
         total *= _sp_order_local(p, k, n)
+    return total
+
+
+def _si_hom_count(ring, m, n):
+    """|SI(m, n)|: per local factor, |Sp_2n| over the stabilizer |Sp_2(n-m)|."""
+    if m > n:
+        return 0
+    total = 1
+    for fac in ring.local.factors:
+        p, k = prime_power(fac.size)
+        num = _sp_order_local(p, k, n)
+        den = _sp_order_local(p, k, n - m)
+        if num % den:
+            raise InvariantViolation("symplectic point count is not divisible by the stabilizer")
+        total *= num // den
     return total
 
 
@@ -308,14 +323,7 @@ def si_hom_from(src_form, n, budget=None):
     d = src_form.pairs
     if d > n:
         return ()
-    count = 1
-    for fac in ring.local.factors:
-        p, k = prime_power(fac.size)
-        num = _sp_order_local(p, k, n)
-        den = _sp_order_local(p, k, n - d)
-        if num % den:
-            raise InvariantViolation("symplectic point count is not divisible by the stabilizer")
-        count *= num // den
+    count = _si_hom_count(ring, d, n)
     charge(count, budget, "symplectic hom enumeration")
     dec = ring.local
     per_factor = []
@@ -368,17 +376,7 @@ class SiCategory(Category):
         return standard_form(self.ring, n)
 
     def count_hom(self, m, n):
-        if m > n:
-            return 0
-        total = 1
-        for fac in self.ring.local.factors:
-            p, k = prime_power(fac.size)
-            num = _sp_order_local(p, k, n)
-            den = _sp_order_local(p, k, n - m)
-            if num % den:
-                raise InvariantViolation("symplectic point count is not divisible by the stabilizer")
-            total *= num // den
-        return total
+        return _si_hom_count(self.ring, m, n)
 
     def _enumerate_hom(self, m, n):
         if m > n:

@@ -567,19 +567,6 @@ def vic_factor(mor):
 # VI and V morphism counts
 # ---------------------------------------------------------------------------
 
-def _count_split_injections(ring, m, n, budget):
-    """Brute count of maps R^m -> R^n (n x m matrices) with a left inverse."""
-    if m > n:
-        return 0
-    total = ring.size ** (m * n)
-    charge(total, budget, "VI(%s) hom(%d,%d) brute count" % (ring.spec, m, n))
-    count = 0
-    for data in iproduct(range(ring.size), repeat=n * m):
-        if is_surjective(Mat(ring, n, m, data).transpose()):
-            count += 1
-    return count
-
-
 def _count_surjections(ring, m, k, budget):
     """Brute count of surjective maps R^m -> R^k (k x m matrices)."""
     if k > m:
@@ -596,17 +583,18 @@ def _count_surjections(ring, m, k, budget):
 def vi_v_hom_counts(ring, m, n, budget=None):
     """(vi_count, v_count) for maps R^m -> R^n.
 
-    vi_count is the number of split injections (brute force).  v_count is the
+    vi_count is the number of split injections (brute force: transposing
+    maps them one to one onto the surjections R^n -> R^m).  v_count is the
     number of maps with free cokernel, obtained from the factorization of such
     a map as a surjection onto R^k followed by a split injection: the pairs
     over-count each map by a free GL_k action, so the k-th term divides
     exactly.
     """
-    vi = _count_split_injections(ring, m, n, budget)
+    vi = _count_surjections(ring, n, m, budget)
     v = 0
     for k in range(min(m, n) + 1):
         s = _count_surjections(ring, m, k, budget)
-        i = _count_split_injections(ring, k, n, budget)
+        i = _count_surjections(ring, n, k, budget)
         if not s or not i:
             continue
         g = gl_order(ring, k)

@@ -16,16 +16,19 @@ The elementary step of the chain order duplicates the letter at a non-pivot
 position k to a new position l with k <= l <= n (never past the end).  Its
 reverse deletes position j when the letter there is not a spade, is not last,
 and either repeats an earlier letter or is immediately repeated.  The
-decision procedure here searches reverse deletions from the larger word; the
-forward breadth-first search over insertion steps is kept as an independent
-oracle.  The covered-subsequence test is a sound prefilter but accepts pairs
-the chain order rejects, so it is never the final answer.  The pair-deletion
-order is subsequence embedding of the pair words, decided greedily; a
-breadth-first deletion search is kept as its oracle.
+decision procedure here searches reverse deletions from the larger word,
+after the covered-subsequence test as a sound prefilter (it accepts pairs the
+chain order rejects, so it is never the final answer).  The pair-deletion
+order is subsequence embedding of the pair words, decided greedily.  One
+layered breadth-first word search is the oracle of both orders: forward over
+insertion steps, backward over pair deletions.  ORDERS pairs each ordered
+category with its functions.
 
 All positions are 0-based internally; the public insertion constructor
 speaks the 1-based language of pivot-set reports.
 """
+
+from collections import namedtuple
 
 from .errors import PreconditionError, InvariantViolation, charge
 from .matrices import Mat, lift_mats, project_mat, row_adapted
@@ -220,50 +223,40 @@ def ovic_preceq(f, g, budget=None):
     return True
 
 
-def ovic_tilde_leq(f, g):
-    """The covered-subsequence comparison of the encodings.
-
-    Necessary for the chain order but not sufficient: it also accepts pairs
-    where the repeated letter lands past a spade that insertion steps can
-    never jump.  Kept as the documented prefilter.
-    """
-    _ovic_pair_check(f, g)
-    return all(word_leq("tilde", wf, wg) for wf, wg in zip(ovic_words(f), ovic_words(g)))
-
-
-def _word_insertions(w):
-    n = len(w)
-    out = set()
-    for k in range(n):
-        if w[k] is SPADE:
+def _layered_bfs(words_f, words_g, steps, upward, budget, what):
+    """The search oracle of both orders, per local factor: breadth-first
+    search one step per layer until the other word's length is reached,
+    either upward from the smaller word, keeping only the words that still
+    embed into the larger one, or downward from the larger word."""
+    for wf, wg in zip(words_f, words_g):
+        if wf == wg:
             continue
-        for l in range(k, n):
-            out.add(w[:l] + (w[k],) + w[l:])
-    return out
+        if len(wf) >= len(wg):
+            return False
+        start, goal = (wf, wg) if upward else (wg, wf)
+        frontier = {start}
+        explored = 0
+        while frontier and len(next(iter(frontier))) != len(goal):
+            frontier = {w2 for w in frontier for w2 in steps(w)}
+            if upward:
+                frontier = {w2 for w2 in frontier if word_leq("higman", w2, wg)}
+            explored += len(frontier)
+            charge(explored, budget, what)
+        if goal not in frontier:
+            return False
+    return True
+
+
+def _insertions(w):
+    return [w[:l] + (x,) + w[l:] for k, x in enumerate(w) if x is not SPADE for l in range(k, len(w))]
 
 
 def ovic_preceq_bfs(f, g, budget=None):
     """Oracle: forward breadth-first search over single insertion steps."""
     _ovic_pair_check(f, g)
-    for wf, wg in zip(ovic_words(f), ovic_words(g)):
-        if wf == wg:
-            continue
-        if len(wf) >= len(wg):
-            return False
-        frontier = {wf}
-        explored = 0
-        while frontier and len(next(iter(frontier))) < len(wg):
-            nxt = set()
-            for w in frontier:
-                for w2 in _word_insertions(w):
-                    if word_leq("higman", w2, wg):
-                        nxt.add(w2)
-            explored += len(nxt)
-            charge(explored, budget, "insertion order forward search")
-            frontier = nxt
-        if wg not in frontier:
-            return False
-    return True
+    return _layered_bfs(
+        ovic_words(f), ovic_words(g), _insertions, True, budget, "insertion order forward search"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +375,11 @@ def ovic_phi_for(f, g, budget=None):
 # total orders
 # ---------------------------------------------------------------------------
 
+def _key_cmp(kf, kg):
+    """-1, 0 or 1 comparing two staged keys."""
+    return (kf > kg) - (kf < kg)
+
+
 def ovic_total_key(mor):
     """The staged comparison key: target rank, then per local factor the
     pivot set, the columns of fp, and the free rows of f."""
@@ -398,14 +396,8 @@ def ovic_total_key(mor):
 
 
 def ovic_total_cmp(f, g):
-    """-1, 0 or 1 comparing the staged keys."""
     _ovic_pair_check(f, g)
-    kf, kg = ovic_total_key(f), ovic_total_key(g)
-    if kf < kg:
-        return -1
-    if kf > kg:
-        return 1
-    return 0
+    return _key_cmp(ovic_total_key(f), ovic_total_key(g))
 
 
 def osi_total_key(mor):
@@ -432,12 +424,7 @@ def _osi_pair_check(f, g):
 
 def osi_total_cmp(f, g):
     _osi_pair_check(f, g)
-    kf, kg = osi_total_key(f), osi_total_key(g)
-    if kf < kg:
-        return -1
-    if kf > kg:
-        return 1
-    return 0
+    return _key_cmp(osi_total_key(f), osi_total_key(g))
 
 
 # ---------------------------------------------------------------------------
@@ -456,30 +443,15 @@ def osi_preceq(f, g):
     return all(word_leq("higman", wf, wg) for wf, wg in zip(osi_words(f), osi_words(g)))
 
 
+def _pair_deletions(w):
+    return [w[:j] + w[j + 1 :] for j in range(len(w)) if SPADE not in w[j]]
+
+
 def osi_preceq_bfs(f, g, budget=None):
     """Oracle: breadth-first search deleting one spade-free pair letter at a
     time from the larger word."""
     _osi_pair_check(f, g)
-    for wf, wg in zip(osi_words(f), osi_words(g)):
-        if wf == wg:
-            continue
-        if len(wf) >= len(wg):
-            return False
-        frontier = {wg}
-        explored = 0
-        while frontier and len(next(iter(frontier))) > len(wf):
-            nxt = set()
-            for w in frontier:
-                for j in range(len(w)):
-                    if SPADE in w[j]:
-                        continue
-                    nxt.add(w[:j] + w[j + 1 :])
-            explored += len(nxt)
-            charge(explored, budget, "pair deletion search")
-            frontier = nxt
-        if wf not in frontier:
-            return False
-    return True
+    return _layered_bfs(osi_words(f), osi_words(g), _pair_deletions, False, budget, "pair deletion search")
 
 
 def _greedy_unmatched(wf, wg):
@@ -495,7 +467,7 @@ def _greedy_unmatched(wf, wg):
     return unmatched if i == len(wf) else None
 
 
-def osi_insertion_phi(f, g, budget=None):
+def osi_insertion_phi(f, g):
     """The row-adapted symplectic phi with g = phi . f for pair-deletion
     comparable morphisms: re-inserted positions carry the rows of g spread
     over the pivot rows of f, kept positions carry standard basis rows.
@@ -542,3 +514,23 @@ def osi_insertion_phi(f, g, budget=None):
     if phi_mat.mul(f.f) != g.f:
         raise InvariantViolation("insertion phi does not carry f to g")
     return phi
+
+
+# ---------------------------------------------------------------------------
+# the order table
+# ---------------------------------------------------------------------------
+
+Order = namedtuple("Order", "preceq preceq_bfs total_key total_cmp phi")
+
+ORDERS = {
+    "OVIC": Order(ovic_preceq, ovic_preceq_bfs, ovic_total_key, ovic_total_cmp, ovic_phi_for),
+    "OSI": Order(osi_preceq, osi_preceq_bfs, osi_total_key, osi_total_cmp, osi_insertion_phi),
+}
+
+
+def order_of(cat):
+    """The order functions of an ordered category (OVIC or OSI)."""
+    order = ORDERS.get(cat.name)
+    if order is None:
+        raise PreconditionError("order operations require the OVIC or OSI category, not %s" % cat.name)
+    return order

@@ -383,12 +383,22 @@ def test_quotient_variant_dims_divide_by_the_group_order():
         assert complex_homology(c, 2, 1)["H0"] == 0
 
 
+def whole_as_submodule(P, d):
+    """P_d rebuilt as the submodule its identity generates: the same
+    module, reached by the complement route."""
+    mod = submodule_closure(P, [(d, (1,))]).as_module()
+    assert mod.dims == P.dims
+    return mod
+
+
 def test_routes_cross_check_on_dims_and_homology():
     F = FiCategory()
     P1 = representable(F, 1, 4, "Q")
+    M1 = whole_as_submodule(P1, 1)
     for variant in ("plain", "prime", "double", "triple"):
-        a = shift_complex(P1, 3, variant, route="representable")
-        b = shift_complex(P1, 3, variant, route="complement")
+        a = shift_complex(P1, 3, variant)
+        b = shift_complex(M1, 3, variant)
+        assert (a.route, b.route) == ("representable", "complement")
         for n in range(5):
             for p in range(4):
                 assert a.dim(p, n) == b.dim(p, n)
@@ -396,9 +406,10 @@ def test_routes_cross_check_on_dims_and_homology():
 
     R2 = make_ring("Z/2")
     P1v = representable(make_vic_category(R2), 1, 3, "F2")
+    M1v = whole_as_submodule(P1v, 1)
     for variant in ("plain", "triple"):
-        a = shift_complex(P1v, 2, variant, route="representable")
-        b = shift_complex(P1v, 2, variant, route="complement")
+        a = shift_complex(P1v, 2, variant)
+        b = shift_complex(M1v, 2, variant)
         for n in range(4):
             for p in range(3):
                 assert a.dim(p, n) == b.dim(p, n)
@@ -406,8 +417,8 @@ def test_routes_cross_check_on_dims_and_homology():
 
     S2 = make_si_category(R2)
     P0s = representable(S2, 0, 2, "F2")
-    a = shift_complex(P0s, 2, "plain", route="representable")
-    b = shift_complex(P0s, 2, "plain", route="complement")
+    a = shift_complex(P0s, 2, "plain")
+    b = shift_complex(whole_as_submodule(P0s, 0), 2, "plain")
     for n in range(3):
         for p in range(3):
             assert a.dim(p, n) == b.dim(p, n)
@@ -454,9 +465,6 @@ def test_shift_preconditions():
     P1o = representable(O2, 1, 2, "F2")
     with pytest.raises(PreconditionError):
         shift_complex(P1o, 1, "plain")  # no complements
-    sub = submodule_closure(representable(F, 0, 2, "Q"), [])
-    with pytest.raises(PreconditionError):
-        shift_complex(sub.as_module(), 1, "plain", route="representable")
 
 
 def test_complex_homology_preconditions():

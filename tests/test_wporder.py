@@ -10,9 +10,10 @@ import pytest
 from ficat.errors import BudgetExceeded, PreconditionError
 from ficat.matrices import Mat, lift_mats, project_mat, row_adapted
 from ficat.rings import make_ring
-from ficat.si import SiMorphism, make_si_category, osi_prime_hom, si_hom_from, standard_form, symplectic_forms
+from ficat.si import SiMorphism, make_osi_category, make_si_category, osi_prime_hom, si_hom_from, standard_form, symplectic_forms
 from ficat.vic import OvicMorphism, make_ovic_category, ovic_hom_enumerate
 from ficat.wporder import (
+    ORDERS,
     SPADE,
     osi_insertion_phi,
     osi_preceq,
@@ -24,10 +25,10 @@ from ficat.wporder import (
     ovic_phi_for,
     ovic_preceq,
     ovic_preceq_bfs,
-    ovic_tilde_leq,
     ovic_total_cmp,
     ovic_total_key,
     ovic_words,
+    order_of,
     word_leq,
 )
 
@@ -47,6 +48,11 @@ def brute_higman(w1, w2):
         if all(w1[i] == w2[j] for i, j in enumerate(idx)):
             return True
     return False
+
+
+def tilde_leq(f, g):
+    """The covered-subsequence prefilter on the OVIC word encodings."""
+    return all(word_leq("tilde", wf, wg) for wf, wg in zip(ovic_words(f), ovic_words(g)))
 
 
 def brute_tilde(w1, w2):
@@ -255,7 +261,7 @@ def test_covered_subsequence_over_accepts():
     # the letter before the pivot, never after it
     f = ovic(R2, [[1], [1]], [[0, 1]])
     g = ovic(R2, [[1], [1], [1]], [[0, 1, 0]])
-    assert ovic_tilde_leq(f, g) is True
+    assert tilde_leq(f, g) is True
     assert ovic_preceq(f, g) is False
     assert ovic_preceq_bfs(f, g) is False
 
@@ -274,7 +280,7 @@ def test_chain_matches_morphism_closure():
             if expected:
                 related += 1
             if expected and a != b:
-                assert ovic_tilde_leq(a, b) is True
+                assert tilde_leq(a, b) is True
     assert related > len(els)
 
 
@@ -516,3 +522,19 @@ def test_budget_guards():
         ovic_preceq_bfs(a, c, budget=0)
     assert ovic_preceq_bfs(a, c) is True
     assert ovic_preceq(a, c) is True
+
+
+# ---------------------------------------------------------------------------
+# the order table
+# ---------------------------------------------------------------------------
+
+def test_order_table_pairs_categories_with_their_functions():
+    ovic = order_of(make_ovic_category(R4))
+    assert (ovic.preceq, ovic.preceq_bfs, ovic.total_key, ovic.total_cmp, ovic.phi) == (
+        ovic_preceq, ovic_preceq_bfs, ovic_total_key, ovic_total_cmp, ovic_phi_for)
+    osi = order_of(make_osi_category(R2))
+    assert (osi.preceq, osi.preceq_bfs, osi.total_key, osi.total_cmp, osi.phi) == (
+        osi_preceq, osi_preceq_bfs, osi_total_key, osi_total_cmp, osi_insertion_phi)
+    assert sorted(ORDERS) == ["OSI", "OVIC"]
+    with pytest.raises(PreconditionError, match="require the OVIC or OSI category, not SI"):
+        order_of(make_si_category(R2))
