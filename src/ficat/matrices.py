@@ -8,8 +8,10 @@ Over a local ring Z/p^k a square matrix is invertible exactly when its
 reduction mod p is, so one reduced echelon form with unit pivots
 (_local_rref) decides every local question: inverses, surjectivity, kernels
 and the factorization of surjections all read it off, per local factor of
-the ring, and the results are recombined by CRT.  Determinants need no
-pivoting: integer Bareiss elimination on each modulus, reduced at the end.
+the ring, and the results are recombined by CRT.  Every local factor is Z/q
+with its elements the residues 0..q-1, so the echelon does its arithmetic on
+those integers mod q.  Determinants need no pivoting: integer Bareiss
+elimination on each modulus, reduced at the end.
 """
 
 from itertools import product as iproduct
@@ -279,31 +281,30 @@ def _local_rref(m):
     """Reduced row echelon form over a local ring with unit pivots.
 
     Returns (pivot column tuple, row list).  Pivoting greedily takes, for each
-    column left to right, the first unused row holding a unit there.
+    column left to right, the first unused row holding a unit there.  The
+    ring is a local factor Z/q, so entries are reduced as integers mod q.
     """
     R = m.ring
-    radd, rmul, rneg = R.add, R.mul, R.neg
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    q = R.size
+    units = frozenset(R.units())
+    nrows, ncols = m.rows, m.cols
+    rows = [list(m.data[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
     pivots = []
     r = 0
-    for c in range(m.cols):
-        sel = None
-        for i in range(r, m.rows):
-            if R.is_unit(rows[i][c]):
-                sel = i
-                break
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if rows[i][c] in units), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = R.inverse(rows[r][c])
-        rows[r] = [rmul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rneg(rows[i][c])
-                rows[i] = [radd(x, rmul(f, y)) for x, y in zip(rows[i], rows[r])]
+        prow = rows[r] = [inv * x % q for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
     return tuple(pivots), rows
 
@@ -311,11 +312,14 @@ def _local_rref(m):
 def _local_inverse(m):
     """Inverse over a local ring, or None when m is not invertible."""
     n = m.rows
-    aug = hstack(m, Mat.identity(m.ring, n))
-    pivots, rows = _local_rref(aug)
-    if tuple(pivots) != tuple(range(n)):
+    data = m.data
+    aug = ()
+    for i in range(n):
+        aug += data[i * n:(i + 1) * n] + (0,) * i + (1,) + (0,) * (n - 1 - i)
+    pivots, rows = _local_rref(Mat(m.ring, n, 2 * n, aug))
+    if pivots != tuple(range(n)):
         return None
-    return Mat.from_rows(m.ring, [row[n:] for row in rows])
+    return Mat(m.ring, n, n, tuple([x for row in rows for x in row[n:]]))
 
 
 def try_inverse(m):
@@ -438,29 +442,27 @@ def _local_adapted(m):
     """Pivot tuple of a column-adapted d x n map over a local ring, else None.
 
     Column s_i must equal the i-th standard basis vector and every entry of
-    row i strictly left of s_i must be a non-unit, with s_1 < ... < s_d.
+    row i strictly left of s_i must be a non-unit, with s_1 < ... < s_d.  A
+    unit left of s_i in row i rules out an earlier copy of e_i, so s_i is the
+    first column equal to e_i; one pass over the columns finds them all.
     """
     d, n = m.rows, m.cols
     R = m.ring
-    s = []
-    prev = -1
-    for i in range(d):
-        target = tuple(R.one if t == i else R.zero for t in range(d))
-        j = None
-        for c in range(n):
-            if m.col(c) == target:
-                j = c
-                break
-        if j is None:
+    data = m.data
+    first = [None] * d
+    for c in range(n):
+        col = data[c::n]
+        if col.count(R.zero) == d - 1 and R.one in col:
+            i = col.index(R.one)
+            if first[i] is None:
+                first[i] = c
+    if None in first or any(a >= b for a, b in zip(first, first[1:])):
+        return None
+    units = frozenset(R.units())
+    for i, s in enumerate(first):
+        if any(x in units for x in data[i * n:i * n + s]):
             return None
-        row = m.row(i)
-        if any(R.is_unit(row[t]) for t in range(j)):
-            return None
-        if j <= prev:
-            return None
-        prev = j
-        s.append(j)
-    return tuple(s)
+    return tuple(first)
 
 
 def column_adapted(m):

@@ -20,6 +20,7 @@ from .catcore import Category
 from .errors import InvariantViolation, PreconditionError, charge
 from .matrices import (
     Mat,
+    _local_inverse,
     block_diag,
     column_adapted,
     det,
@@ -150,25 +151,52 @@ _GL_LOCAL = {}
 
 
 def _gl_local(ring, n):
-    """All invertible n x n matrices over a local ring, as (mat, inverse, det)."""
+    """All invertible n x n matrices over a local ring Z/p^k, as (mat, inverse,
+    det) triples sorted by mat.data.
+
+    A square matrix is invertible exactly when its rows are independent mod p,
+    so the rows are chosen in lexicographic order, each outside the span over
+    F_p of the rows before it; the matrices come out sorted.  Inverses come in
+    pairs: one inverse and one det fill the triples of both g and g^-1.
+    """
     key = (ring.spec, n)
     got = _GL_LOCAL.get(key)
     if got is None:
-        out = []
-        if n == 0:
-            e = Mat.identity(ring, 0)
-            out.append((e, e, ring.one))
-        else:
-            from .matrices import _local_inverse
+        p, _ = prime_power(ring.size)
+        vecs = [(v, tuple(x % p for x in v)) for v in iproduct(range(ring.size), repeat=n)]
+        datas = []
 
-            for data in iproduct(range(ring.size), repeat=n * n):
-                m = Mat(ring, n, n, data)
-                d = det(m)
-                if ring.is_unit(d):
-                    out.append((m, _local_inverse(m), d))
-        if len(out) != _gl_count_local(ring, n):
+        def extend(prefix, span, depth):
+            for v, res in vecs:
+                if res in span:
+                    continue
+                if depth == 1:
+                    datas.append(prefix + v)
+                else:
+                    wider = {tuple((a + t * b) % p for a, b in zip(s, res))
+                             for s in span for t in range(p)}
+                    extend(prefix + v, wider, depth - 1)
+
+        if n == 0:
+            datas.append(())
+        else:
+            extend((), {(0,) * n}, n)
+        if len(datas) != _gl_count_local(ring, n):
             raise InvariantViolation("GL_%d(%s) enumeration disagrees with the order formula" % (n, ring.spec))
-        out.sort(key=lambda t: t[0].data)
+        index = {data: i for i, data in enumerate(datas)}
+        out = [None] * len(datas)
+        for i, data in enumerate(datas):
+            if out[i] is not None:
+                continue
+            g = Mat(ring, n, n, data)
+            ginv = _local_inverse(g)
+            j = index.get(ginv.data) if ginv is not None else None
+            if j is None:
+                raise InvariantViolation("GL_%d(%s) misses the inverse of %r" % (n, ring.spec, g))
+            d = det(g)
+            out[i] = (g, ginv, d)
+            if out[j] is None:
+                out[j] = (ginv, g, ring.inverse(d))
         got = tuple(out)
         _GL_LOCAL[key] = got
     return got

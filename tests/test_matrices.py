@@ -22,6 +22,7 @@ from ficat.matrices import (
     is_invertible,
     is_surjective,
     kernel_basis,
+    project_mat,
     row_adapted,
     try_inverse,
 )
@@ -153,6 +154,17 @@ def test_inverse_roundtrip_gl2_z4():
     assert count == 96
 
 
+@pytest.mark.parametrize("spec,n", [("Z/8", 2), ("Z/9", 2), ("Z/2", 3), ("Z/3", 3)])
+def test_inverse_matches_leibniz_det(spec, n):
+    ring = make_ring(spec)
+    eye = Mat.identity(ring, n)
+    for m in all_mats(ring, n, n):
+        inv = try_inverse(m)
+        assert (inv is None) == (not ring.is_unit(perm_det(m))), m
+        if inv is not None:
+            assert m.mul(inv) == eye and inv.mul(m) == eye, m
+
+
 def test_inverse_crt_ring():
     z6 = make_ring("Z/6")
     eye = Mat.identity(z6, 2)
@@ -238,27 +250,33 @@ def test_column_adapted_examples():
     assert row_adapted(m.transpose()) == p
 
 
+def brute_adapted(m):
+    """Every increasing pivot tuple meeting the column-adapted definition
+    over a local ring."""
+    f = m.ring
+    d = m.rows
+    return [
+        s for s in combinations(range(m.cols), d)
+        if all(m.col(c) == tuple(f.one if t == r else f.zero for t in range(d))
+               and not any(f.is_unit(m.entry(r, t)) for t in range(c))
+               for r, c in enumerate(s))
+    ]
+
+
 def test_column_adapted_brute_consistency():
-    # a map is adapted iff the detected profile exists; cross-check the
-    # defining property directly on every detected profile
+    # a map is adapted iff every local factor has a pivot tuple meeting the
+    # definition, and the detected profile is that (unique) tuple
     for spec, shape in [("Z/4", (1, 2)), ("Z/4", (2, 3)), ("Z/6", (1, 2))]:
         ring = make_ring(spec)
-        dec = ring.local
         rows, cols = shape
         for m in all_mats(ring, rows, cols):
+            brute = [brute_adapted(project_mat(m, i)) for i in range(len(ring.local.factors))]
             p = column_adapted(m)
-            if p is None:
+            if not all(brute):
+                assert p is None, m
                 continue
-            for i, piv in enumerate(p.per_factor):
-                from ficat.matrices import project_mat
-
-                mi = project_mat(m, i)
-                f = dec.factors[i]
-                for r, s in enumerate(piv):
-                    assert mi.col(s) == tuple(
-                        f.one if t == r else f.zero for t in range(rows)
-                    )
-                    assert all(not f.is_unit(mi.entry(r, t)) for t in range(s))
+            assert all(len(b) == 1 for b in brute), m
+            assert p is not None and p.per_factor == tuple(b[0] for b in brute), m
 
 
 def test_factor_surjection_worked_examples():

@@ -2,10 +2,12 @@
 
 Oracles: brute-force enumeration of matrix pairs (f, fp) with fp * f = I,
 column-adapted filtering via the matrix-level predicate, determinant-unit
-filtering for GL, and composite-set counting for the category V.
+filtering for GL (with a Leibniz determinant), and composite-set counting for
+the category V.
 """
 
-from itertools import product as iproduct
+import random
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -36,6 +38,20 @@ Z6 = make_ring("Z/6")
 def all_mats(ring, rows, cols):
     for data in iproduct(range(ring.size), repeat=rows * cols):
         yield Mat(ring, rows, cols, data)
+
+
+def leibniz_det(m):
+    """Leibniz expansion in the ring of m."""
+    R = m.ring
+    n = m.rows
+    acc = R.zero
+    for perm in permutations(range(n)):
+        term = R.one
+        for i in range(n):
+            term = R.mul(term, m.entry(i, perm[i]))
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = R.add(acc, R.neg(term) if inversions % 2 else term)
+    return acc
 
 
 def brute_vic_pairs(ring, m, n):
@@ -94,6 +110,36 @@ def test_gl_pairs_inverses():
     for a, ainv, d in pairs:
         assert a.mul(ainv) == eye and ainv.mul(a) == eye
         assert det(a) == d
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [("Z/2", 0), ("Z/2", 1), ("Z/2", 2), ("Z/2", 3), ("Z/3", 1), ("Z/3", 2), ("Z/4", 0),
+     ("Z/4", 1), ("Z/4", 2), ("Z/8", 2), ("Z/9", 2), ("Z/6", 2), ("Z/2 x Z/2", 2)],
+)
+def test_gl_pairs_match_leibniz_filter(spec, n):
+    ring = make_ring(spec)
+    brute = sorted((m for m in all_mats(ring, n, n) if ring.is_unit(leibniz_det(m))),
+                   key=lambda m: m.data)
+    table = gl_pairs(ring, n)
+    assert [a.data for a, _, _ in table] == [m.data for m in brute]
+    eye = Mat.identity(ring, n)
+    for a, ainv, d in table:
+        assert a.mul(ainv) == eye and ainv.mul(a) == eye
+        assert d == leibniz_det(a)
+
+
+def test_gl3_z4_sorted_pairs():
+    table = gl_pairs(Z4, 3)
+    assert len(table) == 86016
+    assert all(x[0].data < y[0].data for x, y in zip(table, table[1:]))
+    index = {a.data: (a, ainv, d) for a, ainv, d in table}
+    for a, ainv, d in table:
+        b, binv, e = index[ainv.data]
+        assert (b.data, binv.data, e) == (ainv.data, a.data, Z4.inverse(d))
+    eye = Mat.identity(Z4, 3)
+    for a, ainv, _ in random.Random(5).sample(table, 2000):
+        assert a.mul(ainv) == eye and ainv.mul(a) == eye
 
 
 def test_gl_budget():
