@@ -6,14 +6,30 @@ sum, canonical inclusions, block permutations, complement extraction and the
 related coherence data.  The axiom checker and the transitivity/counting
 report live here and are shared by the FI, VIC and SI instances.
 
-Composition convention throughout: compose(g, f) means "g after f".
+Composition convention throughout: compose(g, f) means "g after f", and
+precompose(gs, f) is [compose(g, f) for g in gs], which VIC, OVIC and SI batch.
 """
 
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 from .errors import BudgetExceeded, InvariantViolation, PreconditionError, charge
+
+
+_HELD = 1024  # composites that the axiom checker and precompose_each hold at once
+
+
+def _slices(xs, size):
+    """xs cut into consecutive slices of at most size items."""
+    return [xs[at:at + size] for at in range(0, len(xs), size)]
+
+
+def check_composable(gs, f):
+    """Raise PreconditionError unless every g in gs can follow f."""
+    for g in gs:
+        if f.dst != g.src:
+            raise PreconditionError("composition rank mismatch: %d vs %d" % (f.dst, g.src))
 
 
 class Category:
@@ -58,6 +74,15 @@ class Category:
         return self.hom(n, n, budget)
 
     # subclasses: count_hom, _enumerate_hom, compose, identity, key, validate
+
+    def precompose(self, gs, f):
+        """[compose(g, f) for g in gs]."""
+        return [self.compose(g, f) for g in gs]
+
+    def precompose_each(self, gs, fs):
+        """For each g in gs the tuple of compose(g, f) over fs, by precompose on slices of gs."""
+        for part in _slices(gs, max(1, _HELD // max(1, len(fs)))):
+            yield from zip(*[self.precompose(part, f) for f in fs]) if fs else [()] * len(part)
 
     def is_iso(self, mor):
         """In the skeletal categories here, endomorphisms are exactly the isos."""
@@ -150,8 +175,7 @@ class FiCategory(Category):
         return FiMorphism(n, n, tuple(range(n)))
 
     def compose(self, g, f):
-        if f.dst != g.src:
-            raise PreconditionError("composition rank mismatch: %d vs %d" % (f.dst, g.src))
+        check_composable((g,), f)
         return FiMorphism(f.src, g.dst, tuple(g.images[i] for i in f.images))
 
     def key(self, mor):
@@ -246,8 +270,9 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
     for n in range(max_rank + 1):
         idn = cat.identity(n)
         for m in range(max_rank + 1):
-            for f in cat.hom(m, n, budget):
-                if cat.compose(idn, f) != f or cat.compose(f, cat.identity(m)) != f:
+            hs = cat.hom(m, n, budget)
+            for f, (f_id,) in zip(hs, cat.precompose_each(hs, [cat.identity(m)])):
+                if cat.compose(idn, f) != f or f_id != f:
                     fail("identity", "unit law fails at hom(%d,%d)" % (m, n))
                 checks["identity"]["checked"] += 1
 
@@ -269,23 +294,22 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             continue
         checks["associativity"]["signatures"] += 1
         if total <= assoc_cap:
+            # (g f) e against g (f e) for a slice of g at once, f e composed once a slice
             checks["associativity"]["exhaustive_signatures"] += 1
-            triples = ((e, f, g) for e in hs_e for f in hs_f for g in hs_g)
+            sides = (
+                (cat.precompose(cat.precompose(gs, f), e), cat.precompose(gs, cat.compose(f, e)))
+                for e in hs_e for f in hs_f for gs in _slices(hs_g, _HELD // 3)
+            )
         else:
             checks["associativity"]["sampled_signatures"] += 1
-            triples = (
-                (
-                    hs_e[rng.randrange(len(hs_e))],
-                    hs_f[rng.randrange(len(hs_f))],
-                    hs_g[rng.randrange(len(hs_g))],
-                )
-                for _ in range(assoc_samples)
-            )
-        for e, f, g in triples:
-            if cat.compose(cat.compose(g, f), e) != cat.compose(g, cat.compose(f, e)):
+            draws = ((rng.choice(hs_e), rng.choice(hs_f), rng.choice(hs_g)) for _ in range(assoc_samples))
+            sides = (([cat.compose(cat.compose(g, f), e)], [cat.compose(g, cat.compose(f, e))]) for e, f, g in draws)
+        for lhs, rhs in sides:
+            if lhs != rhs:
+                checks["associativity"]["checked"] += next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
                 fail("associativity", "associativity fails at (%d,%d,%d,%d)" % (k, l, m, n))
                 break
-            checks["associativity"]["checked"] += 1
+            checks["associativity"]["checked"] += len(lhs)
 
     # --- initial object ---
     checks["initial"] = {"status": "pass"}
@@ -309,13 +333,15 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                     "mono check at hom(%d,%d) needs %d compositions" % (m, n, work),
                     required=work,
                 )
-            for g in outer:
-                seen = set()
+            for gs in _slices(outer, max(1, 16 * _HELD // len(inner))):  # keys are smaller
+                seen = [set() for _ in gs]
                 for f in inner:
-                    seen.add(cat.key(cat.compose(g, f)))
-                if len(seen) != len(inner):
-                    fail("mono", "morphism in hom(%d,%d) is not monic" % (m, n))
-                checks["mono"]["checked"] += len(inner)
+                    for keys, h in zip(seen, cat.precompose(gs, f)):
+                        keys.add(cat.key(h))
+                for keys in seen:
+                    if len(keys) != len(inner):
+                        fail("mono", "morphism in hom(%d,%d) is not monic" % (m, n))
+                    checks["mono"]["checked"] += len(inner)
 
     if cat.is_complemented:
         # --- injectivity of Hom(V + V', W) -> Hom(V, W) x Hom(V', W) ---
@@ -327,9 +353,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                     b = m - a
                     can_a = cat.canonical(a, m)
                     can_b = cat.canonical_last(b, m)
-                    seen = set()
-                    for psi in hs:
-                        seen.add((cat.key(cat.compose(psi, can_a)), cat.key(cat.compose(psi, can_b))))
+                    seen = {(cat.key(x), cat.key(y)) for x, y in cat.precompose_each(hs, [can_a, can_b])}
                     if len(seen) != len(hs):
                         fail("sum_injective", "restriction map not injective at (%d=%d+%d,%d)" % (m, a, b, n))
                     checks["sum_injective"]["checked"] += len(hs)
@@ -340,7 +364,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             auts = cat.aut(n, budget)
             for m in range(n):
                 can = cat.canonical(m, n)
-                orbit = {cat.key(cat.compose(a, can)) for a in auts}
+                orbit = {cat.key(x) for x, in cat.precompose_each(auts, [can])}
                 hs = cat.hom(m, n, budget)
                 if len(orbit) != len(hs) or orbit != {cat.key(f) for f in hs}:
                     fail("transitivity", "automorphisms not transitive on hom(%d,%d)" % (m, n))
@@ -349,12 +373,9 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
         # --- complements: existence everywhere ---
         checks["complement_exists"] = {"status": "pass", "checked": 0}
         for n in range(max_rank + 1):
-            can_first_cache = {}
-            for m in range(n + 1):
-                can_first_cache[m] = cat.canonical(m, n)
             for m in range(n + 1):
                 r_expect = n - m
-                can_m = can_first_cache[m]
+                can_m = cat.canonical(m, n)
                 can_r_last = cat.canonical_last(r_expect, n)
                 for f in cat.hom(m, n, budget):
                     r, j = cat.complement_of(f)
@@ -374,7 +395,6 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             for m in range(n + 1):
                 r = n - m
                 f0 = cat.canonical(m, n)
-                can_m = cat.canonical(m, n)
                 can_r_last = cat.canonical_last(r, n)
                 _, j0 = cat.complement_of(f0)
                 classes = 0
@@ -383,7 +403,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                     psi = cat.assemble(f0, j)
                     if psi is None or not cat.validate(psi):
                         continue
-                    if cat.compose(psi, can_m) != f0 or cat.compose(psi, can_r_last) != j:
+                    if cat.compose(psi, f0) != f0 or cat.compose(psi, can_r_last) != j:
                         continue
                     if cat.subobject_equal(j, j0):
                         seen_j0_class = True
@@ -417,21 +437,10 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                                 if total == 0:
                                     continue
                                 if total <= 200:
-                                    quads = [
-                                        (f, g, f2, g2)
-                                        for f in hf
-                                        for g in hg
-                                        for f2 in hf2
-                                        for g2 in hg2
-                                    ]
+                                    quads = list(iproduct(hf, hg, hf2, hg2))
                                 else:
                                     quads = [
-                                        (
-                                            hf[rng2.randrange(len(hf))],
-                                            hg[rng2.randrange(len(hg))],
-                                            hf2[rng2.randrange(len(hf2))],
-                                            hg2[rng2.randrange(len(hg2))],
-                                        )
+                                        (rng2.choice(hf), rng2.choice(hg), rng2.choice(hf2), rng2.choice(hg2))
                                         for _ in range(200)
                                     ]
                                 for f, g, f2, g2 in quads:
@@ -466,10 +475,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                         if pairs <= 200:
                             chosen = [(f, g) for f in hf for g in hg]
                         else:
-                            chosen = [
-                                (hf[rng3.randrange(len(hf))], hg[rng3.randrange(len(hg))])
-                                for _ in range(200)
-                            ]
+                            chosen = [(rng3.choice(hf), rng3.choice(hg)) for _ in range(200)]
                         sig0 = cat.flip(a0, b0)
                         for f, g in chosen:
                             lhs = cat.compose(sig, cat.monoidal_sum(f, g))
@@ -499,8 +505,8 @@ def group_structure_report(cat, r, n, budget=None):
     orbit = set()
     stab = 0
     can_key = cat.key(can)
-    for a in auts:
-        k = cat.key(cat.compose(a, can))
+    for x, in cat.precompose_each(auts, [can]):
+        k = cat.key(x)
         orbit.add(k)
         if k == can_key:
             stab += 1

@@ -14,7 +14,8 @@ those integers mod q.  Determinants need no pivoting: integer Bareiss
 elimination on each modulus, reduced at the end.
 """
 
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
+from operator import itemgetter
 
 from .errors import BudgetExceeded, InvariantViolation, PreconditionError, enumeration_budget
 
@@ -84,13 +85,7 @@ class Mat:
         )
 
     def mul(self, other):
-        if self.ring != other.ring:
-            raise PreconditionError("matrix product over different rings")
-        if self.cols != other.rows:
-            raise PreconditionError(
-                "shape mismatch in matrix product: %dx%d times %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
-            )
+        _check_product(self, other)
         R = self.ring
         radd, rmul, zero = R.add, R.mul, R.zero
         a, b = self.data, other.data
@@ -174,6 +169,84 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%s, %s)" % (self.ring.spec, self.to_rows())
+
+
+def _check_product(a, b):
+    if a.ring is not b.ring:
+        raise PreconditionError("matrix product over different rings")
+    if a.cols != b.rows:
+        raise PreconditionError(
+            "shape mismatch in matrix product: %dx%d times %dx%d" % (a.rows, a.cols, b.rows, b.cols)
+        )
+
+
+# ----- batched products with one fixed factor -----
+
+def _selection(vecs, ring):
+    """Where the one sits in each vector when all are unit vectors, else None."""
+    out = []
+    for v in vecs:
+        if v.count(0) != len(v) - 1 or ring.one not in v:
+            return None
+        out.append(v.index(ring.one))
+    return out
+
+
+def _picker(idx):
+    """data -> the tuple of its entries at idx, by one itemgetter."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda data: tuple(data[i] for i in idx)
+
+
+def mul_rows_by(mats, right):
+    """[a.mul(right) for a in mats], multiplying each distinct row once; when
+    right's columns are unit vectors, picking entries by one itemgetter a shape."""
+    for a in mats:
+        _check_product(a, right)
+    R, k, m = right.ring, right.rows, right.cols
+    sel = _selection([right.col(j) for j in range(m)], R)
+    memo = {}  # row -> row * right, or row count -> picker
+    out = []
+    for a in mats:
+        if sel is not None:
+            if a.rows not in memo:
+                memo[a.rows] = _picker([i * k + s for i in range(a.rows) for s in sel])
+            data = memo[a.rows](a.data)
+        else:
+            data = ()
+            for i in range(a.rows):
+                row = a.data[i * k:(i + 1) * k]
+                if row not in memo:
+                    memo[row] = Mat(R, 1, k, row).mul(right).data
+                data += memo[row]
+        out.append(Mat(R, a.rows, m, data))
+    return out
+
+
+def mul_cols_by(left, mats):
+    """[left.mul(b) for b in mats], multiplying each distinct column once; when
+    left's rows are unit vectors, picking entries by one itemgetter a shape."""
+    for b in mats:
+        _check_product(left, b)
+    R, n, k = left.ring, left.rows, left.cols
+    sel = _selection([left.row(i) for i in range(n)], R)
+    memo = {}  # column -> left * column, or column count -> picker
+    out = []
+    for b in mats:
+        m = b.cols
+        if sel is not None:
+            if m not in memo:
+                memo[m] = _picker([s * m + j for s in sel for j in range(m)])
+            data = memo[m](b.data)
+        else:
+            cols = []
+            for j in range(m):
+                col = b.data[j::m]
+                if col not in memo:
+                    memo[col] = left.mul(Mat(R, k, 1, col)).data
+                cols.append(memo[col])
+            data = tuple(chain.from_iterable(zip(*cols)))
+        out.append(Mat(R, n, m, data))
+    return out
 
 
 def hstack(a, b):

@@ -947,9 +947,8 @@ def shift_complex(module, q, variant="plain", budget=None):
                 proj = proj_at[(p - 1, n)]
                 rows = len(reps_at[(p - 1, n)])
                 entries = {}
-                for j, u in enumerate(reps):
-                    for i, step in enumerate(steps[p], 1):
-                        v = cat.compose(u, step)
+                for j, faces in enumerate(cat.precompose_each(reps, steps[p])):
+                    for i, v in enumerate(faces, 1):
                         sign, r = proj[cat.key(v)]
                         coeff = field.of(sign if i % 2 == 1 else -sign)
                         spot = (r, j)
@@ -984,11 +983,10 @@ def shift_complex(module, q, variant="plain", budget=None):
                 info_hi = info_at[(p, n)]
                 offs_hi = offs_at[(p, n)]
                 entries = {}
-                for h in reps:
+                for h, faces in zip(reps, cat.precompose_each(reps, skips[p])):
                     rank_h, j_h = info_hi[cat.key(h)]
                     off_h = offs_hi[cat.key(h)]
-                    for i, skip in enumerate(skips[p], 1):
-                        v = cat.compose(h, skip)
+                    for i, v in enumerate(faces, 1):
                         sign, r = proj[cat.key(v)]
                         target = reps_at[(p - 1, n)][r]
                         rank_t, j_t = info_lo[cat.key(target)]

@@ -22,11 +22,12 @@ from .matrices import (
     inverse,
     kernel_basis,
     lift_mats,
+    mul_rows_by,
     project_mat,
     row_adapted,
     try_inverse,
 )
-from .catcore import Category
+from .catcore import Category, check_composable
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +388,16 @@ class SiCategory(Category):
         return SiMorphism(Mat.identity(self.ring, 2 * n), self.form(n), self.form(n), check=False)
 
     def compose(self, g, f):
-        if f.dst != g.src:
-            raise PreconditionError("composition rank mismatch: %d vs %d" % (f.dst, g.src))
+        check_composable((g,), f)
         return si_compose(g, f)
+
+    def precompose(self, gs, f):
+        for g in gs:
+            check_composable((g,), f)
+            if g.src_form != f.dst_form:
+                raise PreconditionError("composition form mismatch")
+        fs = mul_rows_by([g.f for g in gs], f.f)
+        return [SiMorphism(a, f.src_form, g.dst_form, check=False) for g, a in zip(gs, fs)]
 
     def key(self, mor):
         return (mor.src, mor.dst, mor.f.data)
@@ -610,8 +618,7 @@ class OsiCategory(Category):
         return SiMorphism(Mat.identity(self.ring, 2 * n), f, f, check=False)
 
     def compose(self, g, f):
-        if f.dst != g.src:
-            raise PreconditionError("composition rank mismatch: %d vs %d" % (f.dst, g.src))
+        check_composable((g,), f)
         out = si_compose(g, f)
         if row_adapted(out.f) is None:
             raise InvariantViolation("composition lost row-adaptedness")

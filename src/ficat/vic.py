@@ -16,7 +16,7 @@ multiply as (g.f * f.f, f.fp * g.fp).
 
 from itertools import combinations, product as iproduct
 
-from .catcore import Category
+from .catcore import Category, check_composable
 from .errors import InvariantViolation, PreconditionError, charge
 from .matrices import (
     Mat,
@@ -30,6 +30,8 @@ from .matrices import (
     is_surjective,
     kernel_basis,
     lift_mats,
+    mul_cols_by,
+    mul_rows_by,
     try_inverse,
 )
 from .rings import prime_power
@@ -359,6 +361,16 @@ def ovic_hom_enumerate(ring, m, n, budget=None):
 # the categories
 # ---------------------------------------------------------------------------
 
+def _precompose_split(cls, gs, f):
+    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], by two batched products."""
+    check_composable(gs, f)
+    pairs = zip(mul_rows_by([g.f for g in gs], f.f), mul_cols_by(f.fp, [g.fp for g in gs]))
+    try:
+        return [cls(a, ap, check=False) for a, ap in pairs]
+    except PreconditionError:
+        raise InvariantViolation("composite of column-adapted morphisms lost adaptedness")
+
+
 class VicCategory(Category):
     name = "VIC"
     is_complemented = True
@@ -399,21 +411,20 @@ class VicCategory(Category):
                 if d in self.units:
                     out.append(VicMorphism(a, ainv, check=False))
             return out
-        out = []
-        auts = gl_pairs(self.ring, m, budget=-1)
-        for ov in ovic_hom_enumerate(self.ring, m, n, budget=-1):
-            for a, ainv, _ in auts:
-                out.append(VicMorphism(ov.f.mul(a), ainv.mul(ov.fp), check=False))
-        return out
+        ovics = ovic_hom_enumerate(self.ring, m, n, budget=-1)
+        auts = [VicMorphism(a, ainv, check=False) for a, ainv, _ in gl_pairs(self.ring, m, budget=-1)]
+        return [h for aut in auts for h in self.precompose(ovics, aut)]
 
     def identity(self, n):
         e = Mat.identity(self.ring, n)
         return VicMorphism(e, e, check=False)
 
     def compose(self, g, f):
-        if f.dst != g.src:
-            raise PreconditionError("composition rank mismatch: %d vs %d" % (f.dst, g.src))
+        check_composable((g,), f)
         return VicMorphism(g.f.mul(f.f), f.fp.mul(g.fp), check=False)
+
+    def precompose(self, gs, f):
+        return _precompose_split(VicMorphism, gs, f)
 
     def key(self, mor):
         return (mor.src, mor.dst, mor.f.data, mor.fp.data)
@@ -531,12 +542,15 @@ class OvicCategory(Category):
         return OvicMorphism(e, e, check=False)
 
     def compose(self, g, f):
-        if f.dst != g.src:
-            raise PreconditionError("composition rank mismatch: %d vs %d" % (f.dst, g.src))
+        check_composable((g,), f)
+        a, ap = g.f.mul(f.f), f.fp.mul(g.fp)
         try:
-            return OvicMorphism(g.f.mul(f.f), f.fp.mul(g.fp), check=False)
+            return OvicMorphism(a, ap, check=False)
         except PreconditionError:
             raise InvariantViolation("composite of column-adapted morphisms lost adaptedness")
+
+    def precompose(self, gs, f):
+        return _precompose_split(OvicMorphism, gs, f)
 
     def key(self, mor):
         return (mor.src, mor.dst, mor.f.data, mor.fp.data)

@@ -10,6 +10,9 @@ import pytest
 
 from ficat.catcore import FiCategory, FiMorphism, check_axioms, group_structure_report
 from ficat.errors import PreconditionError
+from ficat.rings import make_ring
+from ficat.si import make_osi_category, make_si_category
+from ficat.vic import make_ovic_category, make_vic_category
 
 
 def brute_injections(m, n):
@@ -99,3 +102,77 @@ def test_fi_group_structure_report():
     assert rep["stabilizer"] == 2
     assert rep["counting_identity"]
     assert rep["orbit_stabilizer_ok"]
+
+
+def precompose_categories():
+    z2, z4 = make_ring("Z/2"), make_ring("Z/4")
+    return [
+        FiCategory(),
+        make_vic_category(z4, units=(1, 3)),
+        make_vic_category(make_ring("Z/6")),
+        make_vic_category(make_ring("Z/2 x Z/2")),
+        make_ovic_category(z4),
+        make_si_category(z2),
+        make_osi_category(z2),
+    ]
+
+
+@pytest.mark.parametrize("cat", precompose_categories(), ids=lambda c: c.describe())
+def test_precompose_matches_compose(cat):
+    """precompose(gs, f) is the loop over compose, key for key, and so is
+    precompose_each(gs, fs), also where gs spans several slices."""
+    for n in range(3):
+        for m in range(n + 1):
+            gs = cat.hom(m, n)
+            for l in range(m + 1):
+                for f in cat.hom(l, m):
+                    got = [cat.key(x) for x in cat.precompose(gs, f)]
+                    assert got == [cat.key(cat.compose(g, f)) for g in gs]
+                    assert cat.precompose([], f) == []
+                fs = cat.hom(l, m)[:3]
+                got = [tuple(map(cat.key, t)) for t in cat.precompose_each(gs, fs)]
+                assert got == [tuple(cat.key(cat.compose(g, f)) for f in fs) for g in gs]
+    f = cat.identity(1)
+    g = cat.identity(2)
+    with pytest.raises(PreconditionError) as want:
+        cat.compose(g, f)
+    with pytest.raises(PreconditionError) as got:
+        cat.precompose([cat.identity(1), g], f)
+    assert str(got.value) == str(want.value) == "composition rank mismatch: 1 vs 2"
+
+
+class OneWrongPair(FiCategory):
+    """FI with g . id_2 answered as g . flip for g the canonical 2 -> 3,
+    and the base precompose, which loops over this compose."""
+
+    def compose(self, g, f):
+        if g == self.canonical(2, 3) and f == self.identity(2):
+            f = self.flip(1, 1)
+        return super().compose(g, f)
+
+
+def test_check_axioms_reports_a_wrong_composite():
+    """Each law fails with its detail string; the counters stop at the first
+    failing triple of each signature."""
+    report = check_axioms(OneWrongPair(), 3)
+    assert not report["ok"]
+    checks = report["checks"]
+    assert checks["identity"] == {
+        "status": "fail", "checked": 24, "failures": ["unit law fails at hom(2,3)"],
+    }
+    assert checks["associativity"] == {
+        "status": "fail",
+        "signatures": 35,
+        "exhaustive_signatures": 35,
+        "sampled_signatures": 0,
+        "checked": 829,
+        "failures": [
+            "associativity fails at (1,2,2,3)",
+            "associativity fails at (2,2,2,3)",
+            "associativity fails at (2,2,3,3)",
+        ],
+    }
+    assert checks["mono"] == {
+        "status": "fail", "checked": 43, "iso_skipped": 10,
+        "failures": ["morphism in hom(2,3) is not monic"],
+    }

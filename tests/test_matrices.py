@@ -22,6 +22,8 @@ from ficat.matrices import (
     is_invertible,
     is_surjective,
     kernel_basis,
+    mul_cols_by,
+    mul_rows_by,
     project_mat,
     row_adapted,
     try_inverse,
@@ -354,3 +356,44 @@ def test_mat_mul_shapes_and_blocks():
         b.mul(a)
     c = hstack(a, b)
     assert c.to_rows() == [[1, 0, 1], [1, 1, 1]]
+
+
+def test_batched_products_match_mul():
+    """mul_rows_by and mul_cols_by equal one Mat.mul per matrix.
+
+    The fixed factor runs over every matrix of every shape up to 2x2, empty
+    shapes included, so both the selection path (every column, or row, a unit
+    vector: identities, permutations, slot inclusions, repeated slots) and
+    the memo path are taken.  Each batch mixes row counts 0..2 and repeats
+    rows and columns across its matrices.
+    """
+    rng = random.Random(11)
+    for spec in ("Z/4", "Z/6", "Z/2 x Z/2"):
+        R = make_ring(spec)
+        for k, m in iproduct(range(3), repeat=2):
+            batch = []
+            for r in range(3):
+                pool = list(all_mats(R, r, k))
+                batch += pool if len(pool) <= 8 else rng.sample(pool, 8)
+            batch_t = [a.transpose() for a in batch]
+            for right in all_mats(R, k, m):
+                assert mul_rows_by(batch, right) == [a.mul(right) for a in batch]
+                left = right.transpose()
+                assert mul_cols_by(left, batch_t) == [left.mul(b) for b in batch_t]
+                assert mul_rows_by([], right) == [] and mul_cols_by(left, []) == []
+
+
+def test_batched_products_raise_as_mul():
+    z4, z22 = make_ring("Z/4"), make_ring("Z/2 x Z/2")
+    a = Mat.identity(z4, 2)
+    cases = [
+        (Mat.zeros(z4, 2, 3), a),  # shape
+        (Mat.identity(z22, 2), a),  # ring of the same size
+    ]
+    for x, y in cases:
+        with pytest.raises(PreconditionError) as want:
+            x.mul(y)
+        for call in (lambda: mul_rows_by([a, x], y), lambda: mul_cols_by(x, [a, y])):
+            with pytest.raises(PreconditionError) as got:
+                call()
+            assert str(got.value) == str(want.value)

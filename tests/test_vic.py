@@ -12,7 +12,7 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from ficat.catcore import check_axioms, group_structure_report
-from ficat.errors import BudgetExceeded, PreconditionError
+from ficat.errors import BudgetExceeded, InvariantViolation, PreconditionError
 from ficat.matrices import Mat, column_adapted, det, try_inverse
 from ficat.rings import make_ring
 from ficat.vic import (
@@ -190,6 +190,19 @@ def test_ovic_composition_stays_adapted():
             comp = cat.compose(g, f)
             assert isinstance(comp, OvicMorphism)
             assert comp.fp.mul(comp.f) == Mat.identity(Z2, 1)
+
+
+def test_ovic_composite_errors():
+    """compose and precompose raise alike: PreconditionError for factors over
+    two rings, InvariantViolation for a composite that is not adapted."""
+    cat = make_ovic_category(Z4)
+    f = cat.hom(1, 2)[0]
+    other = make_ovic_category(make_ring("Z/2 x Z/2")).hom(2, 2)[0]
+    flip = make_vic_category(Z4).flip(1, 1)
+    for g, f, error in ((other, f, PreconditionError), (cat.identity(2), flip, InvariantViolation)):
+        for call in (lambda: cat.compose(g, f), lambda: cat.precompose([g], f)):
+            with pytest.raises(error):
+                call()
 
 
 # ----- VIC hom sets -----
