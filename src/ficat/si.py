@@ -201,9 +201,11 @@ def _si_hom_count(ring, m, n):
 # ---------------------------------------------------------------------------
 
 class SiMorphism:
-    """A symplectic map between formed modules, stored with both forms."""
+    """A symplectic map between formed modules, stored with both forms;
+    wporder fills its row-adapted profile, word encoding and total-order key
+    on first use."""
 
-    __slots__ = ("f", "src_form", "dst_form")
+    __slots__ = ("f", "src_form", "dst_form", "row_profile", "words", "total_key")
 
     def __init__(self, f, src_form, dst_form, check=True):
         if check:

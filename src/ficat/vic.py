@@ -133,9 +133,10 @@ class VicMorphism:
 
 
 class OvicMorphism(VicMorphism):
-    """A VicMorphism whose splitting fp is column-adapted; caches the profile."""
+    """A VicMorphism whose splitting fp is column-adapted; caches the profile,
+    and wporder fills its word encoding and total-order key on first use."""
 
-    __slots__ = ("profile",)
+    __slots__ = ("profile", "words", "total_key")
 
     def __init__(self, f, fp, check=True):
         super().__init__(f, fp, check=check)

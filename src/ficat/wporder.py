@@ -10,7 +10,9 @@ Encodings follow the morphism normal forms: a split injection (f, fp) out of
 rank d with target rank n becomes a length-n word whose letter at a pivot
 position is a spade and at any other position i is the pair
 (row i of f, column i of fp); a row-adapted symplectic map becomes a length-n
-word of coordinate pairs, with spades marking pivot rows.
+word of coordinate pairs, with spades marking pivot rows.  A morphism
+object computes its encoding (and its total-order key) once: both are kept
+in lazily filled slots of OvicMorphism and SiMorphism.
 
 The elementary step of the chain order duplicates the letter at a non-pivot
 position k to a new position l with k <= l <= n (never past the end).  Its
@@ -100,10 +102,24 @@ def word_leq(variant, w1, w2):
 # encodings
 # ---------------------------------------------------------------------------
 
+def _once(mor, slot, build):
+    """The value of build(mor), computed on the first call for this morphism
+    object and kept in its slot."""
+    got = getattr(mor, slot, None)
+    if got is None:
+        got = build(mor)
+        setattr(mor, slot, got)
+    return got
+
+
 def ovic_words(mor):
     """Per-local-factor words encoding an adapted split injection."""
     if not isinstance(mor, OvicMorphism):
         raise PreconditionError("ovic word encoding requires an adapted morphism")
+    return _once(mor, "words", _ovic_words)
+
+
+def _ovic_words(mor):
     n = mor.dst
     out = []
     for i, pivots in enumerate(mor.profile.per_factor):
@@ -113,11 +129,16 @@ def ovic_words(mor):
             SPADE if t in pivots else (f_i.row(t), fp_i.col(t)) for t in range(n)
         )
         out.append(word)
-    return out
+    return tuple(out)
 
 
 def osi_words(mor):
     """Per-local-factor pair words encoding a row-adapted symplectic map."""
+    _check_symplectic(mor)
+    return _once(mor, "words", _osi_words)
+
+
+def _osi_words(mor):
     profile = _osi_profile(mor)
     n = mor.dst
     out = []
@@ -131,12 +152,20 @@ def osi_words(mor):
             )
             word.append(comps)
         out.append(tuple(word))
-    return out
+    return tuple(out)
+
+
+def _check_symplectic(mor):
+    if not isinstance(mor, SiMorphism):
+        raise PreconditionError("expected a symplectic morphism")
 
 
 def _osi_profile(mor):
-    if not isinstance(mor, SiMorphism):
-        raise PreconditionError("expected a symplectic morphism")
+    _check_symplectic(mor)
+    return _once(mor, "row_profile", _row_profile)
+
+
+def _row_profile(mor):
     profile = row_adapted(mor.f)
     if profile is None:
         raise PreconditionError("symplectic morphism is not row-adapted")
@@ -385,6 +414,10 @@ def ovic_total_key(mor):
     pivot set, the columns of fp, and the free rows of f."""
     if not isinstance(mor, OvicMorphism):
         raise PreconditionError("total order keys require adapted morphisms")
+    return _once(mor, "total_key", _ovic_total_key)
+
+
+def _ovic_total_key(mor):
     n = mor.dst
     stages = []
     for i, pivots in enumerate(mor.profile.per_factor):
@@ -402,6 +435,11 @@ def ovic_total_cmp(f, g):
 
 def osi_total_key(mor):
     """Rank, then per local factor the pivot rows and the row sequence."""
+    _check_symplectic(mor)
+    return _once(mor, "total_key", _osi_total_key)
+
+
+def _osi_total_key(mor):
     profile = _osi_profile(mor)
     stages = []
     for i, pivots in enumerate(profile.per_factor):

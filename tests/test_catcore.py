@@ -4,11 +4,12 @@ Oracles: independent injection enumeration (filtering all tuples), counting
 formulas n!/(n-m)!, and hand-checked block permutation images.
 """
 
+import random
 from itertools import product as iproduct
 
 import pytest
 
-from ficat.catcore import FiCategory, FiMorphism, check_axioms, group_structure_report
+from ficat.catcore import FiCategory, FiMorphism, _action_tables, check_axioms, group_structure_report
 from ficat.errors import PreconditionError
 from ficat.rings import make_ring
 from ficat.si import make_osi_category, make_si_category
@@ -175,4 +176,111 @@ def test_check_axioms_reports_a_wrong_composite():
     assert checks["mono"] == {
         "status": "fail", "checked": 43, "iso_skipped": 10,
         "failures": ["morphism in hom(2,3) is not monic"],
+    }
+
+
+# ---------------------------------------------------------------------------
+# associativity on action tables against composing every triple
+# ---------------------------------------------------------------------------
+
+def oracle_associativity(cat, max_rank, seed, assoc_cap, assoc_samples):
+    """The associativity record of check_axioms, composing one triple at a
+    time with cat.compose: every triple of a signature with at most
+    assoc_cap triples, else assoc_samples seeded draws, stopping at the first
+    failing triple of a signature."""
+    rng = random.Random(seed)
+    rec = {"status": "pass", "signatures": 0, "exhaustive_signatures": 0, "sampled_signatures": 0, "checked": 0}
+    for n in range(max_rank + 1):
+        for m in range(n + 1):
+            for l in range(m + 1):
+                for k in range(l + 1):
+                    hs_e, hs_f, hs_g = cat.hom(k, l), cat.hom(l, m), cat.hom(m, n)
+                    total = len(hs_e) * len(hs_f) * len(hs_g)
+                    if total == 0:
+                        continue
+                    rec["signatures"] += 1
+                    if total <= assoc_cap:
+                        rec["exhaustive_signatures"] += 1
+                        triples = iproduct(hs_e, hs_f, hs_g)
+                    else:
+                        rec["sampled_signatures"] += 1
+                        triples = (
+                            (rng.choice(hs_e), rng.choice(hs_f), rng.choice(hs_g)) for _ in range(assoc_samples)
+                        )
+                    for e, f, g in triples:
+                        if cat.compose(cat.compose(g, f), e) != cat.compose(g, cat.compose(f, e)):
+                            rec["status"] = "fail"
+                            rec.setdefault("failures", []).append(
+                                "associativity fails at (%d,%d,%d,%d)" % (k, l, m, n))
+                            break
+                        rec["checked"] += 1
+    return rec
+
+
+def associativity_cases():
+    z2, z4 = make_ring("Z/2"), make_ring("Z/4")
+    return [
+        (FiCategory(), 4),
+        (make_vic_category(z4, units=(1, 3)), 2),
+        (make_vic_category(make_ring("Z/6")), 2),
+        (make_si_category(z2), 2),
+        (make_ovic_category(z4), 3),
+        (make_osi_category(z2), 2),
+    ]
+
+
+@pytest.mark.parametrize("case", associativity_cases(), ids=lambda c: "%s-%d" % (c[0].describe(), c[1]))
+def test_associativity_tables_match_composing_every_triple(case):
+    """Exhaustive up to the benchmark's assoc_cap, the same seeded draws beyond."""
+    cat, rank = case
+    got = check_axioms(cat, rank, seed=5, assoc_cap=10_000, assoc_samples=300)["checks"]["associativity"]
+    assert got == oracle_associativity(cat, rank, 5, 10_000, 300)
+    assert got["status"] == "pass" and got["exhaustive_signatures"] > 0
+
+
+class WrongInHom(FiCategory):
+    """FI with flip . can_2 answered as can_2 for can_2 the canonical 1 -> 2:
+    a wrong composite that is still a morphism of hom(1, 2)."""
+
+    def compose(self, g, f):
+        if g == self.flip(1, 1) and f == self.canonical(1, 2):
+            return f
+        return super().compose(g, f)
+
+
+class WrongOutsideHom(FiCategory):
+    """FI with flip . id_2 answered by the non-injective (0, 0), which is no
+    morphism of hom(2, 2)."""
+
+    def compose(self, g, f):
+        if g == self.flip(1, 1) and f == self.identity(2):
+            return FiMorphism(2, 2, (0, 0))
+        return super().compose(g, f)
+
+
+@pytest.mark.parametrize("cat", [OneWrongPair(), WrongInHom()], ids=lambda c: type(c).__name__)
+def test_associativity_tables_report_a_wrong_composite_like_the_oracle(cat):
+    for cap, samples in ((200_000, 20_000), (20, 300)):
+        got = check_axioms(cat, 3, seed=2, assoc_cap=cap, assoc_samples=samples)["checks"]["associativity"]
+        assert got["status"] == "fail"
+        assert got == oracle_associativity(cat, 3, 2, cap, samples)
+
+
+def test_a_composite_outside_its_hom_set_falls_back_to_the_composites():
+    cat = WrongOutsideHom()
+    act = _action_tables(cat, None)
+    assert act(2, 2, 2) is None and act(1, 2, 3) is not None
+    got = check_axioms(cat, 3)["checks"]["associativity"]
+    assert got == oracle_associativity(cat, 3, 0, 200_000, 20_000)
+    assert got == {
+        "status": "fail",
+        "signatures": 35,
+        "exhaustive_signatures": 35,
+        "sampled_signatures": 0,
+        "checked": 910,
+        "failures": [
+            "associativity fails at (1,2,2,2)",
+            "associativity fails at (2,2,2,2)",
+            "associativity fails at (2,2,2,3)",
+        ],
     }

@@ -538,3 +538,73 @@ def test_order_table_pairs_categories_with_their_functions():
     assert sorted(ORDERS) == ["OSI", "OVIC"]
     with pytest.raises(PreconditionError, match="require the OVIC or OSI category, not SI"):
         order_of(make_si_category(R2))
+
+
+# ---------------------------------------------------------------------------
+# encodings computed once per morphism object
+# ---------------------------------------------------------------------------
+
+def _encoded_posets():
+    """Fresh OVIC(Z/4) and OSI(Z/2) categories, so that none of their
+    morphisms has been encoded, each with a rebuild of a morphism from its
+    data and the category's two encoders."""
+    from ficat.si import OsiCategory
+    from ficat.vic import OvicCategory
+
+    return [
+        (OvicCategory(R4), lambda m: OvicMorphism(m.f, m.fp), ovic_words, ovic_total_key),
+        (OsiCategory(R2), lambda m: SiMorphism(m.f, m.src_form, m.dst_form), osi_words, osi_total_key),
+    ]
+
+
+@pytest.mark.parametrize("case", _encoded_posets(), ids=lambda c: c[0].describe())
+def test_cached_encodings_match_a_rebuilt_morphism(case):
+    cat, rebuild, words, total_key = case
+    for mor in [f for n in range(1, 4) for f in cat.hom(1, n)]:
+        before = (hash(mor), repr(mor))
+        got_words, got_key = words(mor), total_key(mor)
+        assert words(mor) is got_words and total_key(mor) is got_key
+        fresh = rebuild(mor)
+        assert (got_words, got_key) == (words(fresh), total_key(fresh))
+        assert fresh == mor and (hash(mor), repr(mor)) == (hash(fresh), repr(fresh)) == before
+
+
+def test_encoders_keep_their_type_checks_on_encoded_morphisms():
+    a = ovic(R2, [[1], [1]], [[1, 0]])
+    s = make_osi_category(R2).hom(1, 2)[0]
+    ovic_words(a), ovic_total_key(a), osi_words(s), osi_total_key(s)  # both now carry filled slots
+    with pytest.raises(PreconditionError):
+        osi_words(a)
+    with pytest.raises(PreconditionError):
+        osi_total_key(a)
+    with pytest.raises(PreconditionError):
+        ovic_words(s)
+    with pytest.raises(PreconditionError):
+        ovic_total_key(s)
+
+
+@pytest.mark.parametrize("case", _encoded_posets(), ids=lambda c: c[0].describe())
+def test_order_round_encodes_each_morphism_once(case, monkeypatch):
+    """preceq and the total order on every pair whose first element has
+    target rank <= 2, and phi on every related pair (the pair set of the
+    benchmark's algebra workload), build each encoding once per morphism."""
+    import ficat.wporder as wp
+
+    cat = case[0]
+    order = order_of(cat)
+    built = []
+    for name in ("_ovic_words", "_ovic_total_key", "_osi_words", "_osi_total_key", "_row_profile"):
+        def counted(mor, build=getattr(wp, name), name=name):
+            built.append((name, id(mor)))
+            return build(mor)
+        monkeypatch.setattr(wp, name, counted)
+    elements = [f for n in range(1, 4) for f in cat.hom(1, n)]
+    pairs = [(f, g) for f in elements if f.dst <= 2 for g in elements]
+    related = [(f, g) for f, g in pairs if order.preceq(f, g)]
+    for f, g in pairs:
+        order.total_cmp(f, g)
+    for f, g in related:
+        if f != g:
+            order.phi(f, g)
+    assert related and len(built) == len(set(built))
+    assert len({i for _, i in built}) == len(elements)
