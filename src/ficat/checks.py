@@ -38,12 +38,16 @@ from .vic import OvicMorphism, gl_order, gl_pairs, make_ovic_category, make_vic_
 from .wporder import order_of
 
 
-def _record(num, name, profile, ok, detail):
+def _record(num, name, profile, detail, bad=(), ok=True):
+    """A check's record: it passes when nothing is in bad and ok holds; the
+    detail names the first failure."""
+    if bad:
+        detail += "; first failure %s" % (bad[0],)
     return {
         "criterion": num,
         "name": name,
         "profile": profile,
-        "pass": bool(ok),
+        "pass": bool(ok) and not bad,
         "detail": detail,
     }
 
@@ -75,7 +79,7 @@ def check_01(profile="full", seed=0):
         [r[0] for r in got],
         list(signs),
     )
-    return _record(1, "z16-composition-regression", profile, ok, detail)
+    return _record(1, "z16-composition-regression", profile, detail, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +115,8 @@ def check_02(profile="full", seed=0):
         si2.count_hom(1, 1),
         si2.count_hom(2, 2),
     )
-    ok = not bad and anchors == (6, 48, 2, 96, 120, 6, 720)
     detail = "%d instances over 6 categories, anchors %s" % (checked, list(anchors))
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(2, "counting-identity", profile, ok, detail)
+    return _record(2, "counting-identity", profile, detail, bad, ok=anchors == (6, 48, 2, 96, 120, 6, 720))
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +188,12 @@ def check_03(profile="full", seed=0):
                     matched = True
         if hits != 1 or not matched:
             bad.append(("SI(Z/2)", "uniqueness", f.f.to_rows(), hits))
-    ok = not bad and not count_bad
     detail = "%d surjections factored uniquely, %d symplectic maps, counting splits %s" % (
         surj_total,
         osi_total,
         "ok" if not count_bad else count_bad[0],
     )
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(3, "unique-factorization", profile, ok, detail)
+    return _record(3, "unique-factorization", profile, detail, bad, ok=not count_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +257,7 @@ def check_04(profile="full", seed=0):
         st, problems = _order_laws(els, order_of(cat))
         stats.append("%s n<=%d: %d elements, %d related" % (cat.describe(), nmax, st["size"], st["related"]))
         bad.extend(problems)
-    ok = not bad
-    detail = "; ".join(stats)
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(4, "order-laws", profile, ok, detail)
+    return _record(4, "order-laws", profile, "; ".join(stats), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +296,12 @@ def check_05(profile="full", seed=0):
                         monotone += 1
                         if order.total_cmp(cat.compose(phi, a1), b) != -1:
                             bad.append((label, "monotonicity", repr(a), repr(b), repr(a1)))
-    ok = not bad
     detail = "%d realizations recomposed, %d monotonicity instances, %d symplectic gram checks" % (
         realized,
         monotone,
         gram_checked,
     )
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(5, "realizing-morphisms", profile, ok, detail)
+    return _record(5, "realizing-morphisms", profile, detail, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +340,11 @@ def check_06(profile="full", seed=0):
                     bad.append((cat.describe(), d, v, "homotopy"))
                 if not rep["induced_zero_ok"]:
                     bad.append((cat.describe(), d, v, "induced-zero"))
-    ok = not bad
     detail = "%d complexes built with d.d = 0, %d stabilization homotopies with vanishing induced maps" % (
         complexes,
         homotopies,
     )
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(6, "chain-identities", profile, ok, detail)
+    return _record(6, "chain-identities", profile, detail, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +383,12 @@ def check_07(profile="full", seed=0):
     ]
     if rep["anomalies"] != expected_anomalies:
         bad.append(("anomalies", rep["anomalies"], expected_anomalies))
-    ok = not bad
     detail = (
         "triple variant exact through degree %d at ranks 1..%d; "
         "plain homology matches derangements %s at ranks 0..%d; threshold %d"
         % (window, nmax, derangements[: top + 1], top, rep["threshold"])
     )
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(7, "resolution-exactness", profile, ok, detail)
+    return _record(7, "resolution-exactness", profile, detail, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +410,8 @@ def check_08(profile="full", seed=0):
             if rep["stable_from"] != d + 1:
                 bad.append((cat.describe(), d, "stable_from", rep["stable_from"]))
             stables.append("%s P%d: %d" % (cat.describe(), d, rep["stable_from"]))
-    ok = not bad
     detail = "surjectivity starts at d+1 within truncation %d (%s)" % (nmax, "; ".join(stables))
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(8, "finite-generation", profile, ok, detail)
+    return _record(8, "finite-generation", profile, detail, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +464,12 @@ def check_09(profile="full", seed=0):
             strict += 1
             if rep["inits_equal"]:
                 bad.append(("equal-inits-distinct-modules", t))
-    ok = not bad and strict >= 1
     detail = "%d nested pairs checked: %d equal, %d strict with strictly smaller init" % (
         samples + 1,
         equal,
         strict,
     )
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(9, "initial-term-engine", profile, ok, detail)
+    return _record(9, "initial-term-engine", profile, detail, bad, ok=strict >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +497,7 @@ def check_10(profile="full", seed=0):
         if not rep["ok"]:
             failing = sorted(k for k, v in rep["checks"].items() if v["status"] != "pass")
             bad.append((cat.describe(), failing))
-    ok = not bad
-    detail = "axioms pass for %s" % "; ".join(names)
-    if bad:
-        detail += "; first failure %s" % (bad[0],)
-    return _record(10, "axiom-suite", profile, ok, detail)
+    return _record(10, "axiom-suite", profile, "axioms pass for %s" % "; ".join(names), bad)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,19 @@ def mat_to_json(m):
     return {"ring": m.ring.spec, "rows": m.rows, "cols": m.cols, "entries": m.to_rows()}
 
 
+def _int(x, what):
+    """x when it is a JSON integer (true and false are not)."""
+    if type(x) is not int:
+        raise PreconditionError("%s must be an integer, got %s" % (what, json.dumps(x)))
+    return x
+
+
+def _rows_from_json(obj):
+    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
+        raise PreconditionError("matrix must be a list of rows or a matrix object")
+    return [[_int(x, "a matrix entry") for x in row] for row in obj]
+
+
 def mat_from_json(obj, ring):
     if isinstance(obj, dict):
         if "ring" in obj:
@@ -101,17 +114,16 @@ def mat_from_json(obj, ring):
         if entries is None:
             raise PreconditionError("matrix object needs an \"entries\" field")
         if "rows" in obj or "cols" in obj:
-            rows, cols = obj.get("rows"), obj.get("cols")
-            flat = tuple(x for row in entries for x in row)
-            if rows is None or cols is None or len(flat) != rows * cols:
+            rows, cols = _int(obj.get("rows"), "rows"), _int(obj.get("cols"), "cols")
+            data = _rows_from_json(entries)
+            if len(data) != rows or any(len(row) != cols for row in data):
                 raise PreconditionError("matrix dimensions do not match the entries")
+            flat = tuple(x for row in data for x in row)
             for x in flat:
                 ring.check_element(x)
             return Mat(ring, rows, cols, flat)
         obj = entries
-    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
-        raise PreconditionError("matrix must be a list of rows or a matrix object")
-    return Mat.from_rows(ring, obj)
+    return Mat.from_rows(ring, _rows_from_json(obj))
 
 
 def form_to_json(form):
@@ -144,14 +156,18 @@ def mor_from_json(cat, obj, flag):
     if not isinstance(obj, dict):
         raise PreconditionError("%s must be a JSON morphism object" % flag)
     payload = obj.get("payload", obj)
+    if not isinstance(payload, dict):
+        raise PreconditionError("%s payload must be a JSON object" % flag)
     if cat.name == "FI":
         images = payload.get("images")
         if images is None:
             raise PreconditionError("%s needs an \"images\" field" % flag)
+        if not isinstance(images, list):
+            raise PreconditionError("%s \"images\" must be a list" % flag)
         dst = obj.get("dst", payload.get("dst"))
         if dst is None:
             raise PreconditionError("%s needs a \"dst\" field" % flag)
-        mor = FiMorphism(len(images), dst, tuple(images))
+        mor = FiMorphism(len(images), _int(dst, flag + " dst"), tuple(_int(i, flag + " image") for i in images))
     elif cat.name in ("VIC", "OVIC"):
         if "f" not in payload or "fp" not in payload:
             raise PreconditionError("%s needs \"f\" and \"fp\" fields" % flag)

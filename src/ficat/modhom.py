@@ -3,7 +3,10 @@
 A truncated module assigns to every rank n <= N a finite-dimensional space
 over an exact coefficient field (the rationals or a prime field) and to every
 morphism an action matrix, functorial on everything enumerable below the
-truncation.  On top of that this module provides:
+truncation.  Every linear map here (actions, differentials, homotopies,
+stabilizations) is one SparseMap, stored column by column, and one echelon
+of sparse rows (SpanBuilder) answers rank, kernel and span membership.
+On top of that this module provides:
 
   * representable modules P_d (free on hom(d, -), acting by postcomposition),
   * submodule closures with a saturation pass and a closure fixed-point check,
@@ -52,11 +55,16 @@ class CoefField:
         self.one = self.of(1)
 
     def of(self, x):
-        if self.p:
-            return int(x) % self.p
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)
+        """The canonical element for an integer or a rational; over F_p the
+        rational a/b maps to a * b^-1, which needs p not to divide b."""
+        p = self.p
+        if not p:
+            return x if isinstance(x, Fraction) else Fraction(x)
+        if isinstance(x, int):
+            return x % p
+        if isinstance(x, Fraction) and x.denominator % p:
+            return x.numerator * pow(x.denominator, -1, p) % p
+        raise PreconditionError("%r has no image in %s" % (x, self))
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -110,57 +118,34 @@ def coef_field(spec):
 # ---------------------------------------------------------------------------
 # Row-space linear algebra over a CoefField
 # ---------------------------------------------------------------------------
-# Vectors are tuples of canonical field elements.  One elimination serves
-# every question: SpanBuilder keeps an incremental row echelon, each row
-# stored under its pivot column with a unit pivot and zeros before it.
-# Rank is its dimension and membership is reduction to zero; basis() is
-# the one back-substitution, to the canonical reduced form from which rref,
-# kernels and coordinates are read.  Over F_2 the rows are bit-packed
-# integers (bit c is column c).
-
-def _bits_of(vec):
-    b = 0
-    for c, x in enumerate(vec):
-        if x:
-            b |= 1 << c
-    return b
-
+# One elimination serves every question: SpanBuilder keeps an incremental
+# row echelon of sparse rows {column: nonzero coefficient}, each stored
+# under its pivot, the least column present, with a unit pivot.  Rank is
+# its dimension and membership is reduction to zero; basis() is the one
+# back-substitution, to the canonical reduced form from which kernels and
+# coordinates are read.  Over F_2 the rows are bit-packed integers (bit c
+# is column c).  Vectors come in as dense tuples, as dicts, or over F_2 as
+# integers.
 
 def _bits_to_vec(bits, width):
     return tuple((bits >> c) & 1 for c in range(width))
 
 
-def _sub_multiple(p, r, c, row):
-    """r - c * row, entrywise over F_p (p > 0) or Q (p = 0)."""
-    if p:
-        return [(x - c * y) % p for x, y in zip(r, row)]
-    return [x - c * y if y else x for x, y in zip(r, row)]
-
-
-def echelon(field, rows, width):
-    """A SpanBuilder holding the row space of the given rows."""
-    sb = SpanBuilder(field, width)
-    for r in rows:
-        sb.add(r)
-    return sb
-
-
-def rref(field, rows, width):
-    """Canonical reduced row echelon form.
-
-    Returns (tuple of nonzero rows, tuple of pivot columns); the rows are in
-    pivot order with unit pivots and zeros above and below each pivot.
-    """
-    return echelon(field, rows, width).basis()
-
-
-def row_rank(field, rows, width):
-    return echelon(field, rows, width).dim()
+def _axpy(p, r, c, row):
+    """r += c * row in place over F_p (p > 0) or Q, dropping zeros."""
+    for k, y in row.items():
+        x = r.get(k, 0) + c * y
+        if p:
+            x %= p
+        if x:
+            r[k] = x
+        else:
+            r.pop(k, None)
 
 
 def kernel_vectors(field, rows, width):
     """A basis of {v : A v = 0} for the matrix with the given rows."""
-    basis, pivots = rref(field, rows, width)
+    basis, pivots = SpanBuilder(field, width, rows).basis()
     pivot_set = set(pivots)
     out = []
     for free in range(width):
@@ -192,16 +177,24 @@ def span_coords(field, basis, pivots, vec):
 class SpanBuilder:
     """Incrementally grown subspace with an echelon basis."""
 
-    def __init__(self, field, width):
+    def __init__(self, field, width, rows=()):
         self.field = field
         self.width = width
         self.bits = field.p == 2
-        self.rows = {}  # pivot column -> echelon row, unit pivot, zeros before it
+        self.rows = {}  # pivot column -> echelon row, unit pivot, no column before it
+        for r in rows:
+            self.add(r)
 
     def _reduce(self, vec):
         """(row, pivot) to insert for a new direction, or (_, None) in the span."""
         if self.bits:
-            r = vec if isinstance(vec, int) else _bits_of(vec)
+            if isinstance(vec, int):
+                r = vec
+            else:
+                r = 0
+                for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+                    if x:
+                        r |= 1 << c
             while r:
                 j = (r & -r).bit_length() - 1
                 if j not in self.rows:
@@ -209,16 +202,15 @@ class SpanBuilder:
                 r ^= self.rows[j]
             return 0, None
         field = self.field
-        r = list(vec)
-        for j in range(self.width):
-            c = r[j]
-            if not c:
-                continue
+        p = field.p
+        r = {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+        while r:
+            j = min(r)
             row = self.rows.get(j)
             if row is None:
-                scale = field.inv(c)
-                return tuple(field.mul(scale, x) for x in r), j
-            r[j:] = _sub_multiple(field.p, r[j:], c, row[j:])
+                scale = field.inv(r[j])
+                return {c: field.mul(scale, x) for c, x in r.items()}, j
+            _axpy(p, r, field.neg(r[j]), row)
         return None, None
 
     def add(self, vec):
@@ -239,57 +231,32 @@ class SpanBuilder:
     def basis(self):
         """The canonical reduced basis as (rows, pivots) over dense tuples.
 
-        Each pivot column is cleared in the rows above it; a pivot row has
-        zeros before its pivot, so later clearings leave earlier ones intact.
+        Rows are cleared from the last pivot back: a row is reduced by the
+        already reduced rows of its later pivots, each of which is zero at
+        every other pivot column.
         """
         pivots = sorted(self.rows)
-        rows = dict(self.rows)
-        p = self.field.p
-        for idx, j in enumerate(pivots):
-            row = rows[j]
-            for j2 in pivots[:idx]:
-                r = rows[j2]
-                if self.bits:
-                    if (r >> j) & 1:
-                        rows[j2] = r ^ row
-                elif r[j]:
-                    rows[j2] = r[:j] + tuple(_sub_multiple(p, r[j:], r[j], row[j:]))
+        reduced = {}
+        for j in reversed(pivots):
+            r = self.rows[j]
+            if self.bits:
+                rest = r & (r - 1)
+                while rest:
+                    k = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    if k in reduced:
+                        r ^= reduced[k]
+            else:
+                r = dict(r)
+                for k in [k for k in r if k in reduced]:
+                    _axpy(self.field.p, r, self.field.neg(r[k]), reduced[k])
+            reduced[j] = r
         if self.bits:
-            return tuple(_bits_to_vec(rows[j], self.width) for j in pivots), tuple(pivots)
-        return tuple(rows[j] for j in pivots), tuple(pivots)
-
-
-def mat_mul(field, a, b):
-    """Product of dense row-tuple matrices."""
-    zero = field.zero
-    if a and b and len(a[0]) != len(b):
-        raise PreconditionError("inner dimensions disagree")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [zero] * cols
-        for k, c in enumerate(row):
-            if c == zero:
-                continue
-            brow = b[k]
-            for j in range(cols):
-                x = brow[j]
-                if x != zero:
-                    acc[j] = field.add(acc[j], field.mul(c, x))
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_vec(field, a, v):
-    zero = field.zero
-    out = []
-    for row in a:
-        s = zero
-        for c, x in zip(row, v):
-            if c != zero and x != zero:
-                s = field.add(s, field.mul(c, x))
-        out.append(s)
-    return tuple(out)
+            rows = [_bits_to_vec(reduced[j], self.width) for j in pivots]
+        else:
+            zero = self.field.zero
+            rows = [tuple(reduced[j].get(c, zero) for c in range(self.width)) for j in pivots]
+        return tuple(rows), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +295,13 @@ class SparseMap:
                 acc[r] = field.add(acc.get(r, field.zero), field.mul(c, x))
         return [(r, v) for r, v in sorted(acc.items()) if v != field.zero]
 
-    def dense_rows(self, field):
-        rows = [[field.zero] * self.cols for _ in range(self.rows)]
+    def row_dicts(self):
+        """The rows as {column: coefficient}."""
+        rows = [{} for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
             for r, c in col:
                 rows[r][j] = c
-        return tuple(tuple(r) for r in rows)
-
-    def dense_columns(self, field):
-        cols = [[field.zero] * self.rows for _ in range(self.cols)]
-        for j, col in enumerate(self.columns):
-            for r, c in col:
-                cols[j][r] = c
-        return tuple(tuple(c) for c in cols)
+        return rows
 
     def rank(self, field):
         if field.p == 2:
@@ -349,8 +310,8 @@ class SparseMap:
                 for r, _ in col:
                     rows[r] |= 1 << j
         else:
-            rows = self.dense_rows(field)
-        return row_rank(field, rows, self.cols)
+            rows = self.row_dicts()
+        return SpanBuilder(field, self.cols, rows).dim()
 
     def __repr__(self):
         return "SparseMap(%d x %d, %d entries)" % (self.rows, self.cols, sum(len(c) for c in self.columns))
@@ -371,9 +332,9 @@ def _composite_vanishes(field, outer, inner):
 class TruncatedModule:
     """A functor rank -> vector space, truncated at max_rank.
 
-    dims maps each rank 0..N to a dimension; act_fn(mor) produces the dense
-    action matrix (dims[dst] x dims[src] row tuples).  Matrices are cached by
-    the category's morphism key.
+    dims maps each rank 0..N to a dimension; act_fn(mor) produces the action
+    matrix as a SparseMap of shape dims[dst] x dims[src].  Matrices are
+    cached by the category's morphism key.
     """
 
     def __init__(self, cat, field, max_rank, dims, act_fn, kind, name, gen_rank=None, labels=None, labels_index=None):
@@ -404,13 +365,13 @@ class TruncatedModule:
             )
 
     def act(self, mor):
-        """The dense action matrix of a morphism, cached."""
+        """The action matrix of a morphism as a SparseMap, cached."""
         self._check_mor(mor)
         key = self.cat.key(mor)
         got = self._act_cache.get(key)
         if got is None:
             got = self._act_fn(mor)
-            if len(got) != self.dims[mor.dst] or any(len(r) != self.dims[mor.src] for r in got):
+            if (got.rows, got.cols) != (self.dims[mor.dst], self.dims[mor.src]):
                 raise InvariantViolation("action matrix of %r has the wrong shape" % (mor,))
             self._act_cache[key] = got
         return got
@@ -422,13 +383,7 @@ class TruncatedModule:
         key = self.cat.key(mor)
         got = self._act_bits_cache.get(key)
         if got is None:
-            mat = self.act(mor)
-            cols = [0] * self.dims[mor.src]
-            for r, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    if x:
-                        cols[j] |= 1 << r
-            got = tuple(cols)
+            got = tuple(sum(1 << r for r, _ in col) for col in self.act(mor).columns)
             self._act_bits_cache[key] = got
         return got
 
@@ -462,13 +417,9 @@ def representable(cat, d, max_rank, field, budget=None):
     dims = {n: len(labels[n]) for n in labels}
 
     def act_fn(mor):
-        src_basis = labels[mor.src]
         dst_index = index[mor.dst]
-        rows = [[field.zero] * len(src_basis) for _ in range(dims[mor.dst])]
-        for j, u in enumerate(src_basis):
-            v = cat.compose(mor, u)
-            rows[dst_index[cat.key(v)]][j] = field.one
-        return tuple(tuple(r) for r in rows)
+        cols = [((dst_index[cat.key(cat.compose(mor, u))], field.one),) for u in labels[mor.src]]
+        return SparseMap(dims[mor.dst], dims[mor.src], cols)
 
     return TruncatedModule(
         cat, field, max_rank, dims, act_fn,
@@ -483,7 +434,7 @@ def zero_module(cat, max_rank, field):
     dims = {n: 0 for n in range(max_rank + 1)}
 
     def act_fn(mor):
-        return ()
+        return SparseMap(0, 0, ())
 
     return TruncatedModule(cat, field, max_rank, dims, act_fn, kind="generic", name="0")
 
@@ -499,11 +450,7 @@ def check_functoriality(module, up_to=None, budget=None):
     pairs = 0
     for n in range(cap + 1):
         ident = module.act(cat.identity(n))
-        expect = tuple(
-            tuple(field.one if i == j else field.zero for j in range(module.dims[n]))
-            for i in range(module.dims[n])
-        )
-        if ident != expect:
+        if [dict(col) for col in ident.columns] != [{j: field.one} for j in range(module.dims[n])]:
             raise InvariantViolation("act(identity(%d)) is not the identity matrix" % n)
     for a in range(cap + 1):
         for b in range(a, cap + 1):
@@ -517,8 +464,11 @@ def check_functoriality(module, up_to=None, budget=None):
                     act_f = module.act(f)
                     for g in homs_bc:
                         left = module.act(cat.compose(g, f))
-                        right = mat_mul(field, module.act(g), act_f)
-                        if left != right:
+                        act_g = module.act(g)
+                        if any(
+                            dict(col) != dict(act_g.apply_column(field, f_col))
+                            for col, f_col in zip(left.columns, act_f.columns)
+                        ):
                             raise InvariantViolation(
                                 "act(g . f) != act(g) act(f) for f: %d->%d, g: %d->%d" % (a, b, b, c)
                             )
@@ -566,12 +516,14 @@ class Submodule:
             big = parent.act(mor)
             cols = []
             for b in src_basis:
-                w = mat_vec(field, big, b)
+                w = [field.zero] * big.rows
+                for r, c in big.apply_column(field, [(k, x) for k, x in enumerate(b) if x]):
+                    w[r] = c
                 coords = span_coords(field, dst_basis, dst_pivots, w)
                 if coords is None:
                     raise InvariantViolation("submodule is not closed under the action")
-                cols.append(coords)
-            return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(dims[mor.dst]))
+                cols.append([(i, c) for i, c in enumerate(coords) if c])
+            return SparseMap(dims[mor.dst], dims[mor.src], cols)
 
         return TruncatedModule(
             parent.cat, field, parent.max_rank, dims, act_fn,
@@ -592,7 +544,7 @@ def _apply_action(module, mor, vec, bits):
             w ^= cols[j]
             x &= x - 1
         return w
-    return mat_vec(module.field, module.act(mor), vec)
+    return dict(module.act(mor).apply_column(module.field, vec.items()))
 
 
 def submodule_closure(parent, generators, max_rank=None, budget=None):
@@ -618,7 +570,7 @@ def submodule_closure(parent, generators, max_rank=None, budget=None):
         vec = tuple(field.of(x) for x in vec)
         if len(vec) != parent.dims[rank]:
             raise PreconditionError("generator at rank %d has length %d, expected %d" % (rank, len(vec), parent.dims[rank]))
-        builders[rank].add(_bits_of(vec) if bits else vec)
+        builders[rank].add(vec)
 
     def saturate(n, seeds):
         frontier = list(seeds)
@@ -715,7 +667,7 @@ def init_module(sub):
         width = parent.dims[n]
         order = sorted(range(width), key=lambda pos: keys[pos], reverse=True)
         permuted = [tuple(row[order[t]] for t in range(width)) for row in rows]
-        out[n] = tuple(sorted(order[t] for t in echelon(field, permuted, width).rows))
+        out[n] = tuple(sorted(order[t] for t in SpanBuilder(field, width, permuted).rows))
     return out
 
 
@@ -992,15 +944,11 @@ def shift_complex(module, q, variant="plain", budget=None):
                         rank_t, j_t = info_lo[cat.key(target)]
                         off_t = offs_lo[cat.key(target)]
                         c = cat.factor_through(j_t, j_h)
-                        mat = module.act(c)
                         coeff = field.of(sign if i % 2 == 1 else -sign)
-                        for rr in range(module.dims[rank_t]):
-                            row = mat[rr]
-                            for cc in range(module.dims[rank_h]):
-                                x = row[cc]
-                                if x != field.zero:
-                                    spot = (off_t + rr, off_h + cc)
-                                    entries[spot] = field.add(entries.get(spot, field.zero), field.mul(coeff, x))
+                        for cc, col in enumerate(module.act(c).columns):
+                            for rr, x in col:
+                                spot = (off_t + rr, off_h + cc)
+                                entries[spot] = field.add(entries.get(spot, field.zero), field.mul(coeff, x))
                 rows = len(spaces[(p - 1, n)])
                 diffs[(p, n)] = SparseMap.from_entries(field, rows, len(spaces[(p, n)]), entries)
 
@@ -1153,11 +1101,8 @@ def chain_homotopy_check(module, v_rank, budget=None):
             offsets, info = cplx._blocks[(p_target, v_rank + 1)]
             rank_t, j_t = info[cat.key(h_target)]
             c = cat.factor_through(j_t, inc)
-            mat = module.act(c)
             off = offsets[cat.key(h_target)]
-            return tuple(
-                (off + rr, mat[rr][b]) for rr in range(len(mat)) if mat[rr][b] != field.zero
-            )
+            return tuple((off + rr, x) for rr, x in module.act(c).column(b))
 
         def g_map(p):
             _, info_lo = cplx._blocks[(p, v_rank)]
@@ -1201,15 +1146,14 @@ def chain_homotopy_check(module, v_rank, budget=None):
     for i in range(q):
         dim_i = cplx.dim(i, v_rank)
         if i == 0:
-            cycles = tuple(
-                tuple(field.one if t == j else field.zero for t in range(dim_i))
-                for j in range(dim_i)
-            )
+            cycles = [[(j, field.one)] for j in range(dim_i)]
         else:
-            cycles = kernel_vectors(field, cplx.diff(i, v_rank).dense_rows(field), dim_i)
-        boundaries = echelon(field, cplx.diff(i + 1, v_rank + 1).dense_columns(field), cplx.dim(i, v_rank + 1))
-        stab_dense = stab_maps[i].dense_rows(field)
-        induced[i] = all(boundaries.contains(mat_vec(field, stab_dense, z)) for z in cycles)
+            kernel = kernel_vectors(field, cplx.diff(i, v_rank).row_dicts(), dim_i)
+            cycles = [[(t, x) for t, x in enumerate(z) if x] for z in kernel]
+        boundaries = SpanBuilder(
+            field, cplx.dim(i, v_rank + 1), [dict(col) for col in cplx.diff(i + 1, v_rank + 1).columns]
+        )
+        induced[i] = all(boundaries.contains(dict(stab_maps[i].apply_column(field, z))) for z in cycles)
 
     return {
         "cat": cat.describe(),

@@ -278,6 +278,31 @@ def test_invalid_morphism_payloads(capsys):
     assert json.loads(out)["error"] == "precondition"
 
 
+_FI_G = '{"images": [0, 1], "dst": 3}'
+
+
+@pytest.mark.parametrize("argv", [
+    # matrix rows that are not lists
+    ("factor", "--ring", "Z/4", "--matrix", '{"rows": 1, "cols": 1, "entries": [5]}'),
+    # rows of the wrong lengths that happen to hold rows * cols entries
+    ("factor", "--ring", "Z/4", "--matrix", '{"rows": 2, "cols": 2, "entries": [[1], [2, 3, 3]]}'),
+    # JSON true is not the element 1
+    ("factor", "--ring", "Z/4", "--matrix", "[[true, 1]]"),
+    ("factor", "--ring", "Z/4", "--matrix", '{"rows": 1, "cols": 2, "entries": [[true, 1]]}'),
+    # malformed FI morphisms
+    ("compose", "--cat", "FI", "--f", '{"images": 5, "dst": 2}', "--g", _FI_G),
+    ("compose", "--cat", "FI", "--f", '{"images": [0], "dst": "3"}', "--g", _FI_G),
+    ("compose", "--cat", "FI", "--f", '{"images": [0.5], "dst": 2}', "--g", _FI_G),
+    ("compose", "--cat", "FI", "--f", '{"images": [true], "dst": 2}', "--g", _FI_G),
+    ("compose", "--cat", "FI", "--f", '{"payload": 7, "dst": 2}', "--g", _FI_G),
+    ("compose", "--cat", "VIC", "--ring", "Z/2", "--f", '{"payload": 7}', "--g", '{"payload": 7}'),
+])
+def test_malformed_arguments_are_precondition_records(capsys, argv):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 1
+    assert json.loads(out)["error"] == "precondition"
+
+
 # ---------------------------------------------------------------------------
 # output formats
 # ---------------------------------------------------------------------------

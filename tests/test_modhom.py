@@ -36,11 +36,7 @@ from ficat.modhom import (
     init_of,
     init_positions,
     kernel_vectors,
-    mat_mul,
-    mat_vec,
     representable,
-    row_rank,
-    rref,
     shift_complex,
     span_coords,
     submodule_closure,
@@ -106,6 +102,32 @@ def minor_rank(mat, cols):
     return 0
 
 
+def oracle_rank(field, rows, width):
+    """Rank from the size of the enumerated row space over F_p, from
+    minors over Q."""
+    if not field.p:
+        return minor_rank(rows, width)
+    size = len(brute_row_space(field.p, rows, width))
+    rank = 0
+    while field.p ** rank < size:
+        rank += 1
+    return rank
+
+
+def dense_mat_vec(field, rows, v):
+    """The product of a dense row-tuple matrix and a vector."""
+    return tuple(field.of(sum(a * x for a, x in zip(row, v))) for row in rows)
+
+
+def dense_rows(field, sm):
+    """A SparseMap as dense row tuples."""
+    rows = [[field.zero] * sm.cols for _ in range(sm.rows)]
+    for j, col in enumerate(sm.columns):
+        for r, c in col:
+            rows[r][j] = c
+    return tuple(tuple(r) for r in rows)
+
+
 def random_matrix(rng, field, rows, cols):
     if field.p:
         return [tuple(field.of(rng.randrange(field.p)) for _ in range(cols)) for _ in range(rows)]
@@ -136,6 +158,11 @@ def test_coef_field_parsing_and_arithmetic():
         assert f5.mul(a, f5.inv(a)) == f5.one
     with pytest.raises(PreconditionError):
         f5.inv(0)
+    f3 = CoefField(3)
+    assert f3.of(Fraction(1, 2)) == 2 and f3.of(Fraction(-4, 5)) == 1 and f3.of(-1) == 2
+    for bad in (Fraction(1, 3), 2.7, "1"):
+        with pytest.raises(PreconditionError):
+            f3.of(bad)
     q = CoefField(0)
     assert q.of(3) == Fraction(3)
     assert q.inv(Fraction(3, 2)) == Fraction(2, 3)
@@ -149,8 +176,9 @@ def test_rref_kernel_and_rank_against_brute_force():
             rows = rng.randrange(0, 5)
             cols = rng.randrange(1, 5)
             mat = random_matrix(rng, field, rows, cols)
-            basis, pivots = rref(field, mat, cols)
-            assert len(basis) == len(pivots) == row_rank(field, mat, cols)
+            sb = SpanBuilder(field, cols, mat)
+            basis, pivots = sb.basis()
+            assert len(basis) == len(pivots) == sb.dim()
             if field.p == 0:
                 assert len(pivots) == minor_rank(mat, cols)
             assert list(pivots) == sorted(pivots)
@@ -163,12 +191,12 @@ def test_rref_kernel_and_rank_against_brute_force():
             for row in mat:
                 assert span_coords(field, basis, pivots, row) is not None
             joined = list(mat) + list(basis)
-            assert row_rank(field, joined, cols) == len(pivots)
+            assert SpanBuilder(field, cols, joined).dim() == len(pivots)
             # kernel: right dimension, actually annihilated
             ker = kernel_vectors(field, mat, cols)
             assert len(ker) == cols - len(pivots)
             for v in ker:
-                assert all(x == field.zero for x in mat_vec(field, mat, v))
+                assert all(x == field.zero for x in dense_mat_vec(field, mat, v))
             if field.p in (2, 3) and rows and len(pivots) <= 6:
                 space = brute_row_space(field.p, mat, cols)
                 assert len(space) == field.p ** len(pivots)
@@ -182,12 +210,12 @@ def test_span_builder_tracks_dimension_and_membership():
         vecs = [random_matrix(rng, field, 1, 4)[0] for _ in range(8)]
         naive = []
         for v in vecs:
-            before = row_rank(field, naive, 4)
+            before = oracle_rank(field, naive, 4)
             naive.append(v)
-            grew = row_rank(field, naive, 4) > before
+            grew = oracle_rank(field, naive, 4) > before
             assert sb.add(_to_builder(sb, v)) == grew
         basis, pivots = sb.basis()
-        assert len(basis) == row_rank(field, vecs, 4)
+        assert len(basis) == oracle_rank(field, vecs, 4)
         for v in vecs:
             assert span_coords(field, basis, pivots, v) is not None
 
@@ -204,29 +232,73 @@ def _to_builder(sb, vec):
 
 def test_sparse_map_roundtrip_and_rank():
     rng = random.Random(7)
-    # rref, row_rank and SparseMap.rank share one elimination, so the rank
-    # is checked against minors (Q) and the enumerated row space (F_p)
+    # SpanBuilder and SparseMap.rank share one elimination, so the rank is
+    # checked against minors (Q) and the enumerated row space (F_p), on
+    # random shapes and on maps far wider than tall and far taller than wide
     for field in (CoefField(2), CoefField(3), CoefField(0)):
-        for _ in range(15):
-            rows = rng.randrange(1, 6)
-            cols = rng.randrange(1, 6)
+        shapes = [(rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(15)]
+        for rows, cols in shapes + [(2, 7), (7, 2), (3, 8), (8, 3)]:
             entries = {}
             for r in range(rows):
                 for c in range(cols):
                     if rng.random() < 0.4:
                         entries[(r, c)] = field.of(rng.randrange(0, 3))
             sm = SparseMap.from_entries(field, rows, cols, entries)
-            dense = sm.dense_rows(field)
+            dense = dense_rows(field, sm)
             for (r, c), v in entries.items():
                 assert dense[r][c] == v
             rank = sm.rank(field)
-            assert rank == row_rank(field, dense, cols)
-            if field.p:
-                assert len(brute_row_space(field.p, dense, cols)) == field.p ** rank
-            else:
-                assert rank == minor_rank(dense, cols)
+            assert rank == SpanBuilder(field, cols, dense).dim() == oracle_rank(field, dense, cols)
     empty = SparseMap.from_entries(CoefField(0), 3, 0, {})
     assert empty.rank(CoefField(0)) == 0
+
+
+def _dict_with_zeros(rng, vec):
+    """vec as {column: coefficient}, with some zero entries kept as keys."""
+    return {c: x for c, x in enumerate(vec) if x or rng.random() < 0.5}
+
+
+def test_echelon_input_forms_agree_with_brute_force():
+    # a dense tuple, a dict (zero entries included) and, over F_2, a bit
+    # mask give one echelon; membership is checked against the enumerated
+    # row space (F_p) and against minors (Q)
+    rng = random.Random(4242)
+    for field in (CoefField(2), CoefField(3), CoefField(0)):
+        for _ in range(25):
+            width = rng.randrange(1, 6)
+            mat = random_matrix(rng, field, rng.randrange(0, 5), width)
+            forms = [mat, [_dict_with_zeros(rng, v) for v in mat]]
+            if field.p == 2:
+                forms.append([sum(1 << c for c, x in enumerate(v) if x) for v in mat])
+            builders = [SpanBuilder(field, width, rows) for rows in forms]
+            assert len({sb.basis() for sb in builders}) == 1
+            assert {sb.dim() for sb in builders} == {oracle_rank(field, mat, width)}
+            space = brute_row_space(field.p, mat, width) if field.p else None
+            for probe in random_matrix(rng, field, 6, width) + mat:
+                if field.p:
+                    want = probe in space
+                else:
+                    want = minor_rank(mat + [probe], width) == minor_rank(mat, width)
+                assert builders[0].contains(probe) == want
+                assert builders[1].contains(_dict_with_zeros(rng, probe)) == want
+                if field.p == 2:
+                    assert builders[2].contains(sum(1 << c for c, x in enumerate(probe) if x)) == want
+
+
+def test_kernel_vectors_from_sparse_rows():
+    rng = random.Random(515)
+    for field in (CoefField(2), CoefField(3), CoefField(0)):
+        for _ in range(20):
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+            entries = {(r, c): field.of(rng.randrange(1, 3)) for r in range(rows) for c in range(cols)
+                       if rng.random() < 0.4}
+            sm = SparseMap.from_entries(field, rows, cols, entries)
+            dense = dense_rows(field, sm)
+            ker = kernel_vectors(field, sm.row_dicts(), cols)
+            assert ker == kernel_vectors(field, dense, cols)
+            assert len(ker) == cols - oracle_rank(field, dense, cols)
+            for v in ker:
+                assert all(x == field.zero for x in dense_mat_vec(field, dense, v))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +335,8 @@ def test_representable_action_matrix_by_hand():
     u = P1.labels[1][0]
     v = F.compose(iota, u)
     idx = P1.labels_index[2][F.key(v)]
-    expect = tuple(tuple(Q.one if (i, j) == (idx, 0) else Q.zero for j in range(1)) for i in range(2))
-    assert mat == expect
+    assert (mat.rows, mat.cols) == (2, 1)
+    assert mat.columns == (((idx, Q.one),),)
 
 
 def test_functoriality_exhaustive_small():
@@ -285,7 +357,8 @@ def test_zero_module_and_budget():
     F = FiCategory()
     Z = zero_module(F, 3, "Q")
     assert all(Z.dims[n] == 0 for n in range(4))
-    assert Z.act(F.identity(2)) == ()
+    act = Z.act(F.identity(2))
+    assert (act.rows, act.cols, act.columns) == (0, 0, ())
 
     # a fresh category instance has a cold hom cache, so enumeration charges
     R2 = make_ring("Z/2")
@@ -601,7 +674,7 @@ def test_closure_of_zero_and_of_a_two_term_generator():
     assert two.contains(2, vec)
     # closed under every enumerated action by construction; spot-check one
     f = V2.hom(2, 3)[5]
-    image = mat_vec(P1v.field, P1v.act(f), vec)
+    image = dense_mat_vec(P1v.field, dense_rows(P1v.field, P1v.act(f)), vec)
     assert two.contains(3, image)
 
 
@@ -620,6 +693,13 @@ def test_closure_generator_validation_and_rationals_path():
     assert proper.dims() == {0: 0, 1: 0, 2: 1, 3: 3}
     modp = proper.as_module()
     assert check_functoriality(modp, up_to=3) > 0
+    # over F_3 a rational generator is taken as a * b^-1, never truncated:
+    # 1/2 is 2, so (1/2, 0) closes to what (2, 0) does
+    P1f3 = representable(F, 1, 2, "F3")
+    half = submodule_closure(P1f3, [(2, (Fraction(1, 2), 0))])
+    assert half.dims() == submodule_closure(P1f3, [(2, (2, 0))]).dims() == {0: 0, 1: 0, 2: 2}
+    with pytest.raises(PreconditionError):
+        submodule_closure(P1f3, [(2, (Fraction(1, 3), 0))])
 
 
 def test_unclosed_spans_are_rejected_when_used_as_a_module():
@@ -627,10 +707,10 @@ def test_unclosed_spans_are_rejected_when_used_as_a_module():
     V2 = make_vic_category(R2)
     P1v = representable(V2, 1, 3, "F2")
     field = P1v.field
-    rows1, piv1 = rref(field, [(1,)], 1)
-    empty2 = rref(field, [], 6)
-    empty3 = rref(field, [], 28)
-    empty0 = rref(field, [], 0)
+    rows1, piv1 = SpanBuilder(field, 1, [(1,)]).basis()
+    empty2 = SpanBuilder(field, 6).basis()
+    empty3 = SpanBuilder(field, 28).basis()
+    empty0 = SpanBuilder(field, 0).basis()
     broken = Submodule(P1v, {0: empty0, 1: (rows1, piv1), 2: empty2, 3: empty3})
     mod = broken.as_module()
     with pytest.raises(InvariantViolation):
