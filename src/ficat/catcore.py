@@ -24,6 +24,7 @@ from .errors import BudgetExceeded, InvariantViolation, PreconditionError, charg
 
 
 _HELD = 1024  # composites that the axiom checker and precompose_each hold at once
+MONO_CAP = 50_000_000  # compositions the mono check may make for one hom set before BudgetExceeded
 
 
 def _slices(xs, size):
@@ -323,8 +324,7 @@ def _associativity(cat, max_rank, budget, rng, assoc_cap, assoc_samples):
     return record
 
 
-def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_samples=20_000,
-                 mono_cap=50_000_000):
+def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_samples=20_000):
     """Verify the category/complement axioms on all enumerated morphisms.
 
     Exhaustive everywhere except associativity (per-signature exhaustive up to
@@ -375,7 +375,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             outer = [g for g in outer_all if not cat.is_iso(g)]
             checks["mono"]["iso_skipped"] += len(outer_all) - len(outer)
             work = len(outer) * len(inner)
-            if work > mono_cap:
+            if work > MONO_CAP:
                 raise BudgetExceeded(
                     "mono check at hom(%d,%d) needs %d compositions" % (m, n, work),
                     required=work,

@@ -22,10 +22,11 @@ On top of that this module provides:
     consequence on homology, and
   * the finite-generation surjectivity report for d_1: (Sigma_1 M)_V -> M_V.
 
-Representable shifts are realized through the basis bijection with
-hom(p + d, n); every other module takes the explicit complement-block
-construction (route "complement"), which on the whole of a representable,
-taken as a submodule, cross-checks the first.
+Every shift complex comes from one pass over (p, n) that builds the orbit
+tables and the faces.  A representable P_d (route "representable") is free
+on the orbits of hom(p + d, n); any other module (route "complement") has a
+block of M at each representative's complement, and the whole of a
+representable, taken as a submodule, cross-checks the two routes.
 """
 
 from fractions import Fraction
@@ -58,10 +59,10 @@ class CoefField:
         """The canonical element for an integer or a rational; over F_p the
         rational a/b maps to a * b^-1, which needs p not to divide b."""
         p = self.p
-        if not p:
-            return x if isinstance(x, Fraction) else Fraction(x)
         if isinstance(x, int):
-            return x % p
+            return x % p if p else Fraction(x)
+        if isinstance(x, Fraction) and not p:
+            return x
         if isinstance(x, Fraction) and x.denominator % p:
             return x.numerator * pow(x.denominator, -1, p) % p
         raise PreconditionError("%r has no image in %s" % (x, self))
@@ -803,16 +804,22 @@ class ShiftComplex:
     spaces[(p, n)] is the basis label tuple of (Sigma_p M)_n for 0 <= p <= q;
     diffs[(p, n)] is the sparse differential (Sigma_p M)_n -> (Sigma_{p-1} M)_n
     for 1 <= p <= q.  d o d = 0 is verified at construction.
+
+    proj[(p, n)] maps the key of each morphism of hom(p + d, n) to (sign,
+    index of its orbit's representative).  On the complement route (d = 0)
+    blocks[(p, n)] lists per representative h the (offset, complement rank,
+    complement) of its labels (h, b); on the representable route it is empty.
     """
 
-    def __init__(self, module, variant, route, q, spaces, diffs, blocks):
+    def __init__(self, module, variant, route, q, spaces, diffs, proj, blocks):
         self.module = module
         self.variant = variant
         self.route = route
         self.q = q
         self.spaces = spaces
         self.diffs = diffs
-        self._blocks = blocks
+        self.proj = proj
+        self.blocks = blocks
 
     def dim(self, p, n):
         return len(self.spaces[(p, n)])
@@ -825,29 +832,28 @@ class ShiftComplex:
 
 
 def _complement_blocks(cat, module, reps):
-    """Block layout over complement ranks: labels, offsets and inclusions."""
-    offsets = {}
+    """The labels (h, b), b a basis index of M at h's complement rank, and
+    per representative h the (offset, complement rank, complement) of its block."""
     labels = []
-    info = {}
-    at = 0
+    blocks = []
     for h in reps:
         rank, j = cat.complement_of(h)
-        offsets[cat.key(h)] = at
-        info[cat.key(h)] = (rank, j)
-        for b in range(module.dims[rank]):
-            labels.append((h, b))
-        at += module.dims[rank]
-    return tuple(labels), offsets, info
+        blocks.append((len(labels), rank, j))
+        labels.extend((h, b) for b in range(module.dims[rank]))
+    return tuple(labels), blocks
 
 
 def shift_complex(module, q, variant="plain", budget=None):
     """Build the shift complex of a module up to chain degree q.
 
-    A representable module takes the route "representable": it realizes
-    (Sigma_p P_d)_n on the basis hom(p+d, n) with the differential acting by
-    precomposition.  Any other module takes the route "complement": it
-    assembles the chain spaces from explicit complements of each h and acts
-    through the module's matrices.
+    A representable module P_d takes the route "representable": it realizes
+    (Sigma_p P_d)_n on the orbits of hom(p + d, n).  Any other module takes
+    the route "complement": it assembles the chain spaces over the orbits
+    of hom(p, n) from M at explicit complements of each representative.
+    Both routes take the faces of a representative u as the composites
+    u . (s_i + id_d), with sign (-1)^(i+1) times the orbit sign; a face adds
+    its coefficient at its orbit on the representable route, and on the
+    complement route the action of the map between the two complements.
     """
     cat = module.cat
     field = module.field
@@ -862,101 +868,61 @@ def shift_complex(module, q, variant="plain", budget=None):
     if q > module.max_rank:
         raise PreconditionError("chain degree bound %d exceeds the truncation %d" % (q, module.max_rank))
     route = "representable" if module.kind == "representable" else "complement"
+    on_complement = route == "complement"
+    d = 0 if on_complement else module.gen_rank
+    widen = cat.identity(d)
 
-    nmax = module.max_rank
-    groups = {p: _shift_group(cat, variant, p, budget=budget) for p in range(q + 1)}
+    groups = {}
+    for p in range(q + 1):
+        group = _shift_group(cat, variant, p, budget=budget)
+        groups[p] = group if len(group) == 1 or not d else [
+            (cat.monoidal_sum(g, widen), sign) for g, sign in group
+        ]
+    steps = {
+        p: [cat.monoidal_sum(_skip_inclusion(cat, i, p), widen) for i in range(1, p + 1)] for p in range(1, q + 1)
+    }
     spaces = {}
     diffs = {}
+    proj = {}
     blocks = {}
-    reps_at = {}
-    proj_at = {}
-    info_at = {}
-    offs_at = {}
-
-    if route == "representable":
-        d0 = module.gen_rank
-        wide_groups = {
-            p: (
-                group if len(group) == 1 or d0 == 0 else
-                [(cat.monoidal_sum(g, cat.identity(d0)), sign) for g, sign in group]
-            )
-            for p, group in groups.items()
-        }
-        for n in range(nmax + 1):
-            for p in range(q + 1):
-                basis = cat.hom(p + d0, n, budget=budget)
-                reps, proj = _orbit_tables(cat, basis, wide_groups[p])
-                reps_at[(p, n)] = reps
-                proj_at[(p, n)] = proj
+    for n in range(module.max_rank + 1):
+        for p in range(q + 1):
+            basis = cat.hom(p + d, n, budget=budget)
+            reps, proj[(p, n)] = _orbit_tables(cat, basis, groups[p])
+            if not on_complement:
                 spaces[(p, n)] = reps
-        steps = {
-            p: [cat.monoidal_sum(_skip_inclusion(cat, i, p), cat.identity(d0)) for i in range(1, p + 1)]
-            for p in range(1, q + 1)
-        }
-        for n in range(nmax + 1):
-            for p in range(1, q + 1):
-                reps = reps_at[(p, n)]
-                proj = proj_at[(p - 1, n)]
-                rows = len(reps_at[(p - 1, n)])
-                entries = {}
-                for j, faces in enumerate(cat.precompose_each(reps, steps[p])):
-                    for i, v in enumerate(faces, 1):
-                        sign, r = proj[cat.key(v)]
-                        coeff = field.of(sign if i % 2 == 1 else -sign)
-                        spot = (r, j)
-                        entries[spot] = field.add(entries.get(spot, field.zero), coeff)
-                diffs[(p, n)] = SparseMap.from_entries(field, rows, len(reps), entries)
-    else:
-        for n in range(nmax + 1):
-            for p in range(q + 1):
-                basis = cat.hom(p, n, budget=budget)
-                reps, proj = _orbit_tables(cat, basis, groups[p])
-                labels, offsets, info = _complement_blocks(cat, module, reps)
+            else:
+                spaces[(p, n)], blocks[(p, n)] = _complement_blocks(cat, module, reps)
                 if len(groups[p]) > 1:
                     for h in basis:
                         rank_h, j_h = cat.complement_of(h)
-                        sign_rep = proj[cat.key(h)][1]
-                        rank_r, j_r = info[cat.key(reps[sign_rep])]
+                        _, rank_r, j_r = blocks[(p, n)][proj[(p, n)][cat.key(h)][1]]
                         if rank_h != rank_r or cat.key(j_h) != cat.key(j_r):
                             raise InvariantViolation("complements differ within one identification orbit")
-                reps_at[(p, n)] = reps
-                proj_at[(p, n)] = proj
-                info_at[(p, n)] = info
-                offs_at[(p, n)] = offsets
-                spaces[(p, n)] = labels
-                blocks[(p, n)] = (offsets, info)
-        skips = {p: [_skip_inclusion(cat, i, p) for i in range(1, p + 1)] for p in range(1, q + 1)}
-        for n in range(nmax + 1):
-            for p in range(1, q + 1):
-                reps = reps_at[(p, n)]
-                proj = proj_at[(p - 1, n)]
-                info_lo = info_at[(p - 1, n)]
-                offs_lo = offs_at[(p - 1, n)]
-                info_hi = info_at[(p, n)]
-                offs_hi = offs_at[(p, n)]
-                entries = {}
-                for h, faces in zip(reps, cat.precompose_each(reps, skips[p])):
-                    rank_h, j_h = info_hi[cat.key(h)]
-                    off_h = offs_hi[cat.key(h)]
-                    for i, v in enumerate(faces, 1):
-                        sign, r = proj[cat.key(v)]
-                        target = reps_at[(p - 1, n)][r]
-                        rank_t, j_t = info_lo[cat.key(target)]
-                        off_t = offs_lo[cat.key(target)]
-                        c = cat.factor_through(j_t, j_h)
-                        coeff = field.of(sign if i % 2 == 1 else -sign)
-                        for cc, col in enumerate(module.act(c).columns):
-                            for rr, x in col:
-                                spot = (off_t + rr, off_h + cc)
-                                entries[spot] = field.add(entries.get(spot, field.zero), field.mul(coeff, x))
-                rows = len(spaces[(p - 1, n)])
-                diffs[(p, n)] = SparseMap.from_entries(field, rows, len(spaces[(p, n)]), entries)
-
-    for n in range(nmax + 1):
-        for p in range(2, q + 1):
-            if not _composite_vanishes(field, diffs[(p - 1, n)], diffs[(p, n)]):
+            if not p:
+                continue
+            proj_lo = proj[(p - 1, n)]
+            blocks_lo = blocks.get((p - 1, n))
+            blocks_hi = blocks.get((p, n))
+            entries = {}
+            for j, faces in enumerate(cat.precompose_each(reps, steps[p])):
+                if on_complement:
+                    off_h, _, j_h = blocks_hi[j]
+                for i, v in enumerate(faces, 1):
+                    sign, r = proj_lo[cat.key(v)]
+                    coeff = field.of(sign if i % 2 == 1 else -sign)
+                    if not on_complement:
+                        entries[(r, j)] = field.add(entries.get((r, j), field.zero), coeff)
+                        continue
+                    off_t, _, j_t = blocks_lo[r]
+                    for cc, col in enumerate(module.act(cat.factor_through(j_t, j_h)).columns):
+                        for rr, x in col:
+                            spot = (off_t + rr, off_h + cc)
+                            entries[spot] = field.add(entries.get(spot, field.zero), field.mul(coeff, x))
+            diffs[(p, n)] = SparseMap.from_entries(field, len(spaces[(p - 1, n)]), len(spaces[(p, n)]), entries)
+            if p >= 2 and not _composite_vanishes(field, diffs[(p - 1, n)], diffs[(p, n)]):
                 raise InvariantViolation("d o d != 0 at degree %d, rank %d (%s)" % (p, n, variant))
-    return ShiftComplex(module, variant, route, q, spaces, diffs, blocks)
+    return ShiftComplex(module, variant, route, q, spaces, diffs, proj, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +967,14 @@ def homology_report(cplx, v_rank, up_to_degree):
     }
 
 
+def _stable_from(flags):
+    """The least n with flags[n:] all true, or None when the last flag is false."""
+    n = len(flags)
+    while n and flags[n - 1]:
+        n -= 1
+    return n if n < len(flags) else None
+
+
 def exactness_report(cplx, up_to_degree):
     """Vanishing of H_0..H_{up_to_degree} across all ranks <= N.
 
@@ -1017,12 +991,6 @@ def exactness_report(cplx, up_to_degree):
         all_zero = all(v == 0 for v in dims.values())
         per_rank[n] = {"dims": dims, "all_zero": all_zero}
         zero_at.append(all_zero)
-    threshold = None
-    for n in range(nmax, -1, -1):
-        if zero_at[n]:
-            threshold = n
-        else:
-            break
     anomalies = []
     seen_zero = False
     for n in range(nmax + 1):
@@ -1036,7 +1004,7 @@ def exactness_report(cplx, up_to_degree):
         "variant": cplx.variant,
         "up_to_degree": up_to_degree,
         "per_rank": per_rank,
-        "threshold": threshold,
+        "threshold": _stable_from(zero_at),
         "anomalies": anomalies,
         "truncation": nmax,
     }
@@ -1075,54 +1043,33 @@ def chain_homotopy_check(module, v_rank, budget=None):
     q = v_rank + 1
     cplx = shift_complex(module, q, "plain", budget=budget)
     iota = cat.canonical(v_rank, v_rank + 1)
+    on_complement = cplx.route == "complement"
 
-    def rep_index(p, n):
-        labels = cplx.spaces[(p, n)]
-        return {cat.key(u): i for i, u in enumerate(labels)}
+    def column(p, h, inc, b):
+        """The basis column of (Sigma_p M)_{v+1} at the label of h; on the
+        complement route, basis vector b carried along inc into h's block."""
+        _, r = cplx.proj[(p, v_rank + 1)][cat.key(h)]
+        if not on_complement:
+            return ((r, field.one),)
+        off, _, j = cplx.blocks[(p, v_rank + 1)][r]
+        return tuple((off + rr, x) for rr, x in module.act(cat.factor_through(j, inc)).column(b))
 
-    if cplx.route == "representable":
-        index_hi = {p: rep_index(p, v_rank + 1) for p in range(q + 1)}
-
-        def g_map(p):
-            cols = []
-            for u in cplx.spaces[(p, v_rank)]:
-                ubar = _rotate_last(cat, u)
-                cols.append(((index_hi[p + 1][cat.key(ubar)], field.one),))
-            return SparseMap(cplx.dim(p + 1, v_rank + 1), cplx.dim(p, v_rank), cols)
-
-        def stab_map(p):
-            cols = []
-            for u in cplx.spaces[(p, v_rank)]:
-                v = cat.compose(iota, u)
-                cols.append(((index_hi[p][cat.key(v)], field.one),))
-            return SparseMap(cplx.dim(p, v_rank + 1), cplx.dim(p, v_rank), cols)
-    else:
-        def transported_column(p_target, h_target, inc, b):
-            offsets, info = cplx._blocks[(p_target, v_rank + 1)]
-            rank_t, j_t = info[cat.key(h_target)]
-            c = cat.factor_through(j_t, inc)
-            off = offsets[cat.key(h_target)]
-            return tuple((off + rr, x) for rr, x in module.act(c).column(b))
-
-        def g_map(p):
-            _, info_lo = cplx._blocks[(p, v_rank)]
-            cols = []
-            for h, b in cplx.spaces[(p, v_rank)]:
-                _, j_h = info_lo[cat.key(h)]
-                hbar = _rotate_last(cat, h)
-                cols.append(transported_column(p + 1, hbar, cat.compose(iota, j_h), b))
-            return SparseMap(cplx.dim(p + 1, v_rank + 1), cplx.dim(p, v_rank), cols)
-
-        def stab_map(p):
-            _, info_lo = cplx._blocks[(p, v_rank)]
-            cols = []
-            for h, b in cplx.spaces[(p, v_rank)]:
-                _, j_h = info_lo[cat.key(h)]
-                cols.append(transported_column(p, cat.compose(iota, h), cat.compose(iota, j_h), b))
-            return SparseMap(cplx.dim(p, v_rank + 1), cplx.dim(p, v_rank), cols)
-
-    g_maps = {p: g_map(p) for p in range(q)}
-    stab_maps = {p: stab_map(p) for p in range(q)}
+    g_maps = {}
+    stab_maps = {}
+    for p in range(q):
+        g_cols = []
+        stab_cols = []
+        for label in cplx.spaces[(p, v_rank)]:
+            if on_complement:
+                h, b = label
+                _, r = cplx.proj[(p, v_rank)][cat.key(h)]
+                inc = cat.compose(iota, cplx.blocks[(p, v_rank)][r][2])
+            else:
+                h, b, inc = label, None, None
+            g_cols.append(column(p + 1, _rotate_last(cat, h), inc, b))
+            stab_cols.append(column(p, cat.compose(iota, h), inc, b))
+        g_maps[p] = SparseMap(cplx.dim(p + 1, v_rank + 1), cplx.dim(p, v_rank), g_cols)
+        stab_maps[p] = SparseMap(cplx.dim(p, v_rank + 1), cplx.dim(p, v_rank), stab_cols)
 
     per_degree = {}
     for p in range(q):
@@ -1182,16 +1129,10 @@ def generation_degree(module, budget=None):
     for n in range(module.max_rank + 1):
         dim0 = cplx.dim(0, n)
         per_rank[n] = dim0 == 0 or cplx.diff(1, n).rank(field) == dim0
-    stable = None
-    for n in range(module.max_rank, -1, -1):
-        if per_rank[n]:
-            stable = n
-        else:
-            break
     return {
         "cat": module.cat.describe(),
         "module": module.name,
         "per_rank": per_rank,
-        "stable_from": stable,
+        "stable_from": _stable_from(list(per_rank.values())),
         "truncation": module.max_rank,
     }

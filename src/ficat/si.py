@@ -605,15 +605,21 @@ class OsiCategory(Category):
         return "OSI(%s)" % self.ring.spec
 
     def count_hom(self, m, n):
-        return len(self._adapted(m, n))
+        return len(self.hom(m, n))
 
-    def _adapted(self, m, n):
-        if m > n:
-            return ()
-        return osi_prime_hom(standard_form(self.ring, m), n, budget=-1)
-
-    def _enumerate_hom(self, m, n):
-        return list(self._adapted(m, n))
+    def hom(self, m, n, budget=None):
+        """The sorted row-adapted maps from rank m to rank n, filtered once
+        from the SI maps; the budget is charged for the SI enumeration."""
+        self._check_rank(m)
+        self._check_rank(n)
+        got = self._hom_cache.get((m, n))
+        if got is None:
+            charge(_si_hom_count(self.ring, m, n), budget, "hom(%d,%d) enumeration in %s" % (m, n, self.describe()))
+            got = osi_prime_hom(standard_form(self.ring, m), n, budget=-1)
+            if len(set(self.key(f) for f in got)) != len(got):
+                raise InvariantViolation("duplicate morphisms in hom enumeration")
+            self._hom_cache[(m, n)] = got
+        return got
 
     def identity(self, n):
         f = standard_form(self.ring, n)

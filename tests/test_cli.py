@@ -2,6 +2,11 @@
 exit codes, and byte-identical determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +233,24 @@ def test_exit_code_budget(capsys, monkeypatch):
                       "--src", "1", "--dst", "2")
     assert rc == 2
     assert json.loads(out)["error"] == "budget"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("hom-enum", "--cat", "OSI", "--ring", "Z/2", "--src", "2", "--dst", "3"), {"FICAT_BUDGET": "10"}),
+    (("counts", "--cat", "OSI", "--ring", "Z/4", "--src", "1", "--dst", "3"), {}),
+])
+def test_osi_hom_sets_are_charged_before_enumerating(argv, env):
+    # a fresh process, so no hom set is cached: 241,920 and 4,128,768 SI maps
+    # are refused before one is built
+    full = {k: v for k, v in os.environ.items() if k != "FICAT_BUDGET"}
+    full.update(env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "ficat.cli", *argv], capture_output=True, env=full, timeout=60)
+    assert time.monotonic() - start < 2
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "budget"
 
 
 def test_bad_flags_are_precondition_errors(capsys):

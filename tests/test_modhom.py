@@ -164,7 +164,10 @@ def test_coef_field_parsing_and_arithmetic():
         with pytest.raises(PreconditionError):
             f3.of(bad)
     q = CoefField(0)
-    assert q.of(3) == Fraction(3)
+    assert q.of(3) == Fraction(3) and q.of(Fraction(-4, 6)) == Fraction(-2, 3)
+    for bad in (2.7, 1.0, "1/2", "3"):
+        with pytest.raises(PreconditionError):
+            q.of(bad)
     assert q.inv(Fraction(3, 2)) == Fraction(2, 3)
     assert q.sub(q.of(1), q.of(4)) == Fraction(-3)
 
@@ -387,6 +390,29 @@ def test_plain_shift_dims_are_falling_factorials():
             assert cx.dim(p, n) == falling(n, p)
     # p beyond the rank gives the zero chain space
     assert cx.dim(4, 2) == 0
+
+
+@pytest.mark.parametrize("fieldspec", ["Q", "F3"])
+def test_fi_plain_differentials_are_the_injective_words_boundary(fieldspec):
+    # (Sigma_p P_d)_n has a basis of the injective words of length p + d in
+    # n letters; d_p sends u to sum_i (-1)^(i+1) [u with its i-th letter
+    # deleted], over the first p letters only
+    field = coef_field(fieldspec)
+    F = FiCategory()
+    for d in (0, 1):
+        cx = shift_complex(representable(F, d, 4, field), 4, "plain")
+        for n in range(5):
+            for p in range(1, 5):
+                hi = [u.images for u in cx.spaces[(p, n)]]
+                lo = {u.images: r for r, u in enumerate(cx.spaces[(p - 1, n)])}
+                assert sorted(hi) == sorted(permutations(range(n), p + d))
+                want = {}
+                for j, u in enumerate(hi):
+                    for i in range(p):
+                        spot = (lo[u[:i] + u[i + 1:]], j)
+                        want[spot] = want.get(spot, 0) + (-1) ** i
+                got = {(r, j): c for j, col in enumerate(cx.diff(p, n).columns) for r, c in col}
+                assert got == {k: field.of(c) for k, c in want.items() if field.of(c) != field.zero}
 
 
 def test_triple_shift_dims_are_binomials_and_simplex_is_exact():

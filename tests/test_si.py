@@ -13,7 +13,9 @@ from ficat.catcore import check_axioms, group_structure_report
 from ficat.errors import BudgetExceeded, PreconditionError
 from ficat.matrices import Mat, column_span_set, det, row_adapted, try_inverse
 from ficat.rings import make_ring
+import ficat.si as si_module
 from ficat.si import (
+    OsiCategory,
     SiMorphism,
     SymplecticForm,
     make_osi_category,
@@ -332,6 +334,19 @@ def test_osi_prime_hom_counts():
     assert len(osi_prime_hom(standard_form(Z2, 1), 2)) == 20
     lam1, lam2 = symplectic_forms(Z4, 1)
     assert len(osi_prime_hom(lam1, 2)) + len(osi_prime_hom(lam2, 2)) == 15360 // 48
+
+
+def test_osi_hom_filters_the_si_maps_once(monkeypatch):
+    calls = []
+    real = si_module.si_hom_from
+    monkeypatch.setattr(si_module, "si_hom_from", lambda *args: calls.append(args) or real(*args))
+    osi = OsiCategory(Z2)  # not the shared instance, so no hom set is cached
+    want = [m for m in brute_symplectic(Z2, standard_form(Z2, 1), 3) if row_adapted(m) is not None]
+    assert [f.f for f in osi.hom(1, 3)] == sorted(want, key=lambda m: m.data)
+    assert osi.count_hom(1, 3) == len(want) == 336
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceeded):
+        OsiCategory(Z2).hom(1, 3, budget=1000)  # 336 maps, charged for the 2016 SI maps it filters
 
 
 def test_osi_category():
