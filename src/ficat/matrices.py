@@ -10,8 +10,10 @@ reduction mod p is, so one reduced echelon form with unit pivots
 and the factorization of surjections all read it off, per local factor of
 the ring, and the results are recombined by CRT.  Every local factor is Z/q
 with its elements the residues 0..q-1, so the echelon does its arithmetic on
-those integers mod q.  Determinants need no pivoting: integer Bareiss
-elimination on each modulus, reduced at the end.
+those integers mod q.  Products and determinants split the ring into its
+moduli too: each entry of a product is summed as an integer on the residues
+of one modulus and reduced once, and determinants need no pivoting: integer
+Bareiss elimination on each modulus, reduced at the end.
 """
 
 from itertools import chain, product as iproduct
@@ -85,22 +87,20 @@ class Mat:
         )
 
     def mul(self, other):
+        """self * other on the integer residues of each modulus of the ring,
+        each entry summed as a Python int and reduced once."""
         _check_product(self, other)
         R = self.ring
-        radd, rmul, zero = R.add, R.mul, R.zero
-        a, b = self.data, other.data
         n, k, m = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    x = arow[t]
-                    if x:
-                        acc = radd(acc, rmul(x, b[t * m + j]))
-                out.append(acc)
-        return Mat(R, n, m, tuple(out))
+        if len(R.moduli) == 1:
+            return Mat(R, n, m, _residue_product(self.data, other.data, n, k, m, R.moduli[0]))
+        adig = [R.element_tuple(x) for x in self.data]
+        bdig = [R.element_tuple(x) for x in other.data]
+        parts = [
+            _residue_product([d[c] for d in adig], [d[c] for d in bdig], n, k, m, q)
+            for c, q in enumerate(R.moduli)
+        ]
+        return Mat(R, n, m, tuple(map(R.encode, zip(*parts))))
 
     def matvec(self, vec):
         R = self.ring
@@ -178,6 +178,23 @@ def _check_product(a, b):
         raise PreconditionError(
             "shape mismatch in matrix product: %dx%d times %dx%d" % (a.rows, a.cols, b.rows, b.cols)
         )
+
+
+def _residue_product(a, b, n, k, m, q):
+    """Row-major n x m product mod q of the n x k and k x m integer data,
+    skipping zero entries of a."""
+    out = []
+    for i in range(n):
+        arow = a[i * k:(i + 1) * k]
+        for j in range(m):
+            acc = 0
+            t = j
+            for x in arow:
+                if x:
+                    acc += x * b[t]
+                t += m
+            out.append(acc % q)
+    return tuple(out)
 
 
 # ----- batched products with one fixed factor -----
@@ -259,19 +276,20 @@ def hstack(a, b):
 
 
 def block_diag(ring, mats):
-    rows = sum(m.rows for m in mats)
+    """The block diagonal matrix of mats, all over ring."""
     cols = sum(m.cols for m in mats)
-    out = [[ring.zero] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    data = []
+    c0 = 0
     for m in mats:
+        if m.ring is not ring:
+            raise PreconditionError("block_diag block over %s, not %s" % (m.ring.spec, ring.spec))
+        left, right = (ring.zero,) * c0, (ring.zero,) * (cols - c0 - m.cols)
         for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.entry(i, j)
-        r0 += m.rows
+            data += left
+            data += m.data[i * m.cols:(i + 1) * m.cols]
+            data += right
         c0 += m.cols
-    if rows == 0:
-        return Mat(ring, 0, cols, ())
-    return Mat.from_rows(ring, out)
+    return Mat(ring, sum(m.rows for m in mats), cols, tuple(data))
 
 
 # ----- determinants -----

@@ -14,7 +14,7 @@ Composition convention: compose(g, f) means "g after f", so the components
 multiply as (g.f * f.f, f.fp * g.fp).
 """
 
-from itertools import combinations, product as iproduct
+from itertools import combinations, groupby, product as iproduct
 
 from .catcore import Category, check_composable
 from .errors import InvariantViolation, PreconditionError, charge
@@ -159,14 +159,21 @@ def _gl_local(ring, n):
 
     A square matrix is invertible exactly when its rows are independent mod p,
     so the rows are chosen in lexicographic order, each outside the span over
-    F_p of the rows before it; the matrices come out sorted.  Inverses come in
-    pairs: one inverse and one det fill the triples of both g and g^-1.
+    F_p of the rows before it; the matrices come out sorted, in runs that
+    share their first n - 1 rows.  Only the first matrix g0 of a run is
+    inverted by elimination.  Any other g in it is g0 + e_n u^T, with u the
+    difference of the last rows, so with B = g0^-1 and beta = 1 + u^T B e_n
+    (Sherman-Morrison, and the matrix determinant lemma)
+        g^-1 = B - (B e_n)(u^T B) / beta,    det g = beta det g0.
+    Inverses come in pairs: one inverse and one det fill the triples of both
+    g and g^-1.
     """
     key = (ring.spec, n)
     got = _GL_LOCAL.get(key)
     if got is None:
-        p, _ = prime_power(ring.size)
-        vecs = [(v, tuple(x % p for x in v)) for v in iproduct(range(ring.size), repeat=n)]
+        q = ring.size
+        p, _ = prime_power(q)
+        vecs = [(v, tuple(x % p for x in v)) for v in iproduct(range(q), repeat=n)]
         datas = []
 
         def extend(prefix, span, depth):
@@ -188,18 +195,42 @@ def _gl_local(ring, n):
             raise InvariantViolation("GL_%d(%s) enumeration disagrees with the order formula" % (n, ring.spec))
         index = {data: i for i, data in enumerate(datas)}
         out = [None] * len(datas)
-        for i, data in enumerate(datas):
-            if out[i] is not None:
-                continue
-            g = Mat(ring, n, n, data)
-            ginv = _local_inverse(g)
-            j = index.get(ginv.data) if ginv is not None else None
+
+        def pair(i, g, inv_data, d):
+            j = index.get(inv_data)
             if j is None:
                 raise InvariantViolation("GL_%d(%s) misses the inverse of %r" % (n, ring.spec, g))
-            d = det(g)
+            ginv = Mat(ring, n, n, inv_data)
             out[i] = (g, ginv, d)
             if out[j] is None:
                 out[j] = (ginv, g, ring.inverse(d))
+
+        head = n * (n - 1)
+        for _, run in groupby(range(len(datas)), key=lambda i: datas[i][:head]):
+            i0 = next(run)
+            if out[i0] is None:
+                g0 = Mat(ring, n, n, datas[i0])
+                b = _local_inverse(g0)
+                pair(i0, g0, b.data if b is not None else None, det(g0))
+            _, b, d0 = out[i0]
+            B, v0 = b.data, datas[i0][head:]
+            brows = [B[t * n:(t + 1) * n] for t in range(n)]
+            last = [row[-1] for row in brows]  # B e_n
+            for i in run:
+                if out[i] is not None:
+                    continue
+                uB = [0] * n  # u^T B
+                for x, y, row in zip(datas[i][head:], v0, brows):
+                    if x != y:
+                        uB = [s + (x - y) * z for s, z in zip(uB, row)]
+                beta = (1 + uB[-1]) % q
+                binv = ring.inverse(beta)
+                g = Mat(ring, n, n, datas[i])
+                if binv is None:
+                    raise InvariantViolation("GL_%d(%s): rank-one update of %r has no unit factor" % (n, ring.spec, g))
+                w = [z * binv for z in uB]
+                inv_data = tuple([(x - c * z) % q for row, c in zip(brows, last) for x, z in zip(row, w)])
+                pair(i, g, inv_data, d0 * beta % q)
         got = tuple(out)
         _GL_LOCAL[key] = got
     return got

@@ -13,6 +13,7 @@ import pytest
 from ficat.errors import PreconditionError
 from ficat.matrices import (
     Mat,
+    block_diag,
     column_adapted,
     column_span_set,
     det,
@@ -356,6 +357,72 @@ def test_mat_mul_shapes_and_blocks():
         b.mul(a)
     c = hstack(a, b)
     assert c.to_rows() == [[1, 0, 1], [1, 1, 1]]
+
+
+def ring_sum_product(a, b):
+    """a * b entry by entry, summed with the ring's own add and mul."""
+    R = a.ring
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = R.zero
+            for t in range(a.cols):
+                acc = R.add(acc, R.mul(a.entry(i, t), b.entry(t, j)))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def test_mat_mul_matches_ring_sum_oracle():
+    """Mat.mul against the ring's add/mul: every 2x2 product over four
+    rings, seeded shapes up to 5x6 over rings of one and of two moduli, and
+    the empty shapes."""
+    for spec in ("Z/4", "Z/6", "Z/2 x Z/2", "Z/2 x Z/3"):
+        R = make_ring(spec)
+        vecs = list(iproduct(range(R.size), repeat=2))
+        dot = {(u, v): ring_sum_product(Mat(R, 1, 2, u), Mat(R, 2, 1, v))[0][0]
+               for u in vecs for v in vecs}
+        mats = list(all_mats(R, 2, 2))
+        cols = [(b.data[0::2], b.data[1::2]) for b in mats]
+        for a in mats:
+            r0, r1 = a.row(0), a.row(1)
+            want = [(dot[r0, c0], dot[r0, c1], dot[r1, c0], dot[r1, c1]) for c0, c1 in cols]
+            assert [a.mul(b).data for b in mats] == want
+    rng = random.Random(7)
+    for spec in ("Z/12", "Z/9", "Z/2 x Z/9"):
+        R = make_ring(spec)
+        for _ in range(300):
+            n, k, m = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 6)
+            # about half of the entries zero, so the skipped terms are covered
+            a, b = (Mat(R, r, c, tuple(rng.randrange(R.size) if rng.random() < 0.5 else 0
+                                       for _ in range(r * c)))
+                    for r, c in ((n, k), (k, m)))
+            prod = a.mul(b)
+            assert (prod.rows, prod.cols) == (n, m)
+            assert prod.to_rows() == ring_sum_product(a, b)
+        for n, k, m in ((0, 3, 2), (0, 0, 4), (3, 0, 2), (2, 0, 0), (0, 2, 0)):
+            a = Mat(R, n, k, tuple(rng.randrange(R.size) for _ in range(n * k)))
+            b = Mat(R, k, m, tuple(rng.randrange(R.size) for _ in range(k * m)))
+            assert a.mul(b) == Mat.zeros(R, n, m)
+
+
+def test_block_diag_places_blocks_and_checks_the_ring():
+    z6, z3 = make_ring("Z/6"), make_ring("Z/3")
+    a = Mat.from_rows(z6, [[1, 2, 3]])
+    b = Mat.from_rows(z6, [[4], [5]])
+    empty = Mat(z6, 0, 2, ())
+    assert block_diag(z6, [a, empty, b]).to_rows() == [
+        [1, 2, 3, 0, 0, 0],
+        [0, 0, 0, 0, 0, 4],
+        [0, 0, 0, 0, 0, 5],
+    ]
+    assert block_diag(z6, [empty, empty]) == Mat(z6, 0, 4, ())
+    assert block_diag(z6, []) == Mat(z6, 0, 0, ())
+    with pytest.raises(PreconditionError):
+        block_diag(z6, [a, Mat.identity(z3, 1)])
+    with pytest.raises(PreconditionError):
+        block_diag(z3, [Mat.identity(z6, 1)])
 
 
 def test_batched_products_match_mul():
