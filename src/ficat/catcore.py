@@ -8,12 +8,17 @@ report live here and are shared by the FI, VIC and SI instances.
 
 Composition convention throughout: compose(g, f) means "g after f", and
 precompose(gs, f) is [compose(g, f) for g in gs], which VIC, OVIC and SI batch.
+Callers that read only the keys of the composites ask precompose_keys(gs, f)
+for [key(compose(g, f)) for g in gs], which FI, VIC and SI build from the
+factors' data with no morphism or matrix object per composite; OVIC and OSI
+build each composite, so that every one is checked for adaptedness.
+precompose_each yields keys too.
 
 The axiom checker decides exhaustive associativity on action tables: for
 ranks l <= m <= n, the table act(l, m, n) holds, for each f in hom(l, m),
 the positions in hom(l, n) of g . f for g over hom(m, n), each built by one
-precompose per f.  Both sides of (g f) e = g (f e) are then lookups, and a
-composite is made once per table entry rather than three times per triple.
+precompose_keys per f.  Both sides of (g f) e = g (f e) are then lookups, and
+a composite is made once per table entry rather than three times per triple.
 """
 
 import math
@@ -86,10 +91,15 @@ class Category:
         """[compose(g, f) for g in gs]."""
         return [self.compose(g, f) for g in gs]
 
+    def precompose_keys(self, gs, f):
+        """[key(compose(g, f)) for g in gs]."""
+        return [self.key(h) for h in self.precompose(gs, f)]
+
     def precompose_each(self, gs, fs):
-        """For each g in gs the tuple of compose(g, f) over fs, by precompose on slices of gs."""
+        """For each g in gs the tuple of key(compose(g, f)) over fs, by
+        precompose_keys on slices of gs."""
         for part in _slices(gs, max(1, _HELD // max(1, len(fs)))):
-            yield from zip(*[self.precompose(part, f) for f in fs]) if fs else [()] * len(part)
+            yield from zip(*[self.precompose_keys(part, f) for f in fs]) if fs else [()] * len(part)
 
     def is_iso(self, mor):
         """In the skeletal categories here, endomorphisms are exactly the isos."""
@@ -185,6 +195,10 @@ class FiCategory(Category):
         check_composable((g,), f)
         return FiMorphism(f.src, g.dst, tuple(g.images[i] for i in f.images))
 
+    def precompose_keys(self, gs, f):
+        check_composable(gs, f)
+        return [(f.src, g.dst, tuple([g.images[i] for i in f.images])) for g in gs]
+
     def key(self, mor):
         return (mor.src, mor.dst, mor.images)
 
@@ -266,7 +280,7 @@ def _action_tables(cat, budget):
                 pos = positions[(l, n)] = {cat.key(h): p for p, h in enumerate(cat.hom(l, n, budget))}
             parts = _slices(cat.hom(m, n, budget), _HELD)
             rows = [
-                [pos.get(cat.key(h)) for gs in parts for h in cat.precompose(gs, f)]
+                [pos.get(k) for gs in parts for k in cat.precompose_keys(gs, f)]
                 for f in cat.hom(l, m, budget)
             ]
             tables[(l, m, n)] = None if any(None in row for row in rows) else rows
@@ -351,7 +365,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
         for m in range(max_rank + 1):
             hs = cat.hom(m, n, budget)
             for f, (f_id,) in zip(hs, cat.precompose_each(hs, [cat.identity(m)])):
-                if cat.compose(idn, f) != f or f_id != f:
+                if cat.compose(idn, f) != f or f_id != cat.key(f):
                     fail("identity", "unit law fails at hom(%d,%d)" % (m, n))
                 checks["identity"]["checked"] += 1
 
@@ -383,8 +397,8 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             for gs in _slices(outer, max(1, 16 * _HELD // len(inner))):  # keys are smaller
                 seen = [set() for _ in gs]
                 for f in inner:
-                    for keys, h in zip(seen, cat.precompose(gs, f)):
-                        keys.add(cat.key(h))
+                    for keys, k in zip(seen, cat.precompose_keys(gs, f)):
+                        keys.add(k)
                 for keys in seen:
                     if len(keys) != len(inner):
                         fail("mono", "morphism in hom(%d,%d) is not monic" % (m, n))
@@ -400,7 +414,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                     b = m - a
                     can_a = cat.canonical(a, m)
                     can_b = cat.canonical_last(b, m)
-                    seen = {(cat.key(x), cat.key(y)) for x, y in cat.precompose_each(hs, [can_a, can_b])}
+                    seen = set(cat.precompose_each(hs, [can_a, can_b]))
                     if len(seen) != len(hs):
                         fail("sum_injective", "restriction map not injective at (%d=%d+%d,%d)" % (m, a, b, n))
                     checks["sum_injective"]["checked"] += len(hs)
@@ -411,7 +425,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             auts = cat.aut(n, budget)
             for m in range(n):
                 can = cat.canonical(m, n)
-                orbit = {cat.key(x) for x, in cat.precompose_each(auts, [can])}
+                orbit = {k for k, in cat.precompose_each(auts, [can])}
                 hs = cat.hom(m, n, budget)
                 if len(orbit) != len(hs) or orbit != {cat.key(f) for f in hs}:
                     fail("transitivity", "automorphisms not transitive on hom(%d,%d)" % (m, n))
@@ -552,8 +566,7 @@ def group_structure_report(cat, r, n, budget=None):
     orbit = set()
     stab = 0
     can_key = cat.key(can)
-    for x, in cat.precompose_each(auts, [can]):
-        k = cat.key(x)
+    for k, in cat.precompose_each(auts, [can]):
         orbit.add(k)
         if k == can_key:
             stab += 1

@@ -88,19 +88,18 @@ class Mat:
 
     def mul(self, other):
         """self * other on the integer residues of each modulus of the ring,
-        each entry summed as a Python int and reduced once."""
+        each entry summed as a Python int and reduced once; over several
+        moduli the reduced residues are encoded by one sum with the strides."""
         _check_product(self, other)
         R = self.ring
         n, k, m = self.rows, self.cols, other.cols
         if len(R.moduli) == 1:
             return Mat(R, n, m, _residue_product(self.data, other.data, n, k, m, R.moduli[0]))
-        adig = [R.element_tuple(x) for x in self.data]
-        bdig = [R.element_tuple(x) for x in other.data]
-        parts = [
-            _residue_product([d[c] for d in adig], [d[c] for d in bdig], n, k, m, q)
-            for c, q in enumerate(R.moduli)
-        ]
-        return Mat(R, n, m, tuple(map(R.encode, zip(*parts))))
+        data = [0] * (n * m)
+        for res, q, s in zip(R.residues, R.moduli, R._strides):
+            part = _residue_product([res[x] for x in self.data], [res[x] for x in other.data], n, k, m, q)
+            data = [y + s * x for y, x in zip(data, part)]
+        return Mat(R, n, m, tuple(data))
 
     def matvec(self, vec):
         R = self.ring
@@ -214,9 +213,10 @@ def _picker(idx):
     return itemgetter(*idx) if len(idx) > 1 else lambda data: tuple(data[i] for i in idx)
 
 
-def mul_rows_by(mats, right):
-    """[a.mul(right) for a in mats], multiplying each distinct row once; when
-    right's columns are unit vectors, picking entries by one itemgetter a shape."""
+def mul_rows_data(mats, right):
+    """The data of a.mul(right) for a in mats, multiplying each distinct row
+    once; when right's columns are unit vectors, picking entries by one
+    itemgetter a shape."""
     for a in mats:
         _check_product(a, right)
     R, k, m = right.ring, right.rows, right.cols
@@ -235,13 +235,14 @@ def mul_rows_by(mats, right):
                 if row not in memo:
                     memo[row] = Mat(R, 1, k, row).mul(right).data
                 data += memo[row]
-        out.append(Mat(R, a.rows, m, data))
+        out.append(data)
     return out
 
 
-def mul_cols_by(left, mats):
-    """[left.mul(b) for b in mats], multiplying each distinct column once; when
-    left's rows are unit vectors, picking entries by one itemgetter a shape."""
+def mul_cols_data(left, mats):
+    """The data of left.mul(b) for b in mats, multiplying each distinct column
+    once; when left's rows are unit vectors, picking entries by one
+    itemgetter a shape."""
     for b in mats:
         _check_product(left, b)
     R, n, k = left.ring, left.rows, left.cols
@@ -262,8 +263,20 @@ def mul_cols_by(left, mats):
                     memo[col] = left.mul(Mat(R, k, 1, col)).data
                 cols.append(memo[col])
             data = tuple(chain.from_iterable(zip(*cols)))
-        out.append(Mat(R, n, m, data))
+        out.append(data)
     return out
+
+
+def mul_rows_by(mats, right):
+    """[a.mul(right) for a in mats], by mul_rows_data."""
+    R, m = right.ring, right.cols
+    return [Mat(R, a.rows, m, data) for a, data in zip(mats, mul_rows_data(mats, right))]
+
+
+def mul_cols_by(left, mats):
+    """[left.mul(b) for b in mats], by mul_cols_data."""
+    R, n = left.ring, left.rows
+    return [Mat(R, n, b.cols, data) for b, data in zip(mats, mul_cols_data(left, mats))]
 
 
 def hstack(a, b):
@@ -332,9 +345,8 @@ def det(m):
     R = m.ring
     if len(R.moduli) == 1:
         return _bareiss(m.data, m.rows) % R.moduli[0]
-    digits = [R.element_tuple(x) for x in m.data]
     return R.encode(tuple(
-        _bareiss([d[k] for d in digits], m.rows) % q for k, q in enumerate(R.moduli)
+        _bareiss([res[x] for x in m.data], m.rows) % q for res, q in zip(R.residues, R.moduli)
     ))
 
 

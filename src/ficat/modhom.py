@@ -26,9 +26,14 @@ Every shift complex comes from one pass over (p, n) that builds the orbit
 tables and the faces.  A representable P_d (route "representable") is free
 on the orbits of hom(p + d, n); any other module (route "complement") has a
 block of M at each representative's complement, and the whole of a
-representable, taken as a submodule, cross-checks the two routes.
+representable, taken as a submodule, cross-checks the two routes.  The faces
+are read as keys (Category.precompose_each), with no morphism per face, and
+every sum of coefficients (a differential's entries, its d o d check, the
+homotopy check) runs on raw integers or rationals and is reduced into the
+field once per entry.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -288,13 +293,17 @@ class SparseMap:
     def column(self, j):
         return self.columns[j]
 
-    def apply_column(self, field, col_entries):
-        """Apply to a sparse column (list of (row, coeff)); sparse result."""
-        acc = {}
+    def accumulate(self, acc, col_entries):
+        """Add this map applied to a sparse column (pairs (j, coeff)) into
+        acc {row: raw sum}, with no reduction; returns acc."""
         for j, c in col_entries:
             for r, x in self.columns[j]:
-                acc[r] = field.add(acc.get(r, field.zero), field.mul(c, x))
-        return [(r, v) for r, v in sorted(acc.items()) if v != field.zero]
+                acc[r] = acc.get(r, 0) + c * x
+        return acc
+
+    def apply_column(self, field, col_entries):
+        """Apply to a sparse column (list of (row, coeff)); sparse result."""
+        return _reduced_column(field, self.accumulate({}, col_entries))
 
     def row_dicts(self):
         """The rows as {column: coefficient}."""
@@ -318,10 +327,32 @@ class SparseMap:
         return "SparseMap(%d x %d, %d entries)" % (self.rows, self.cols, sum(len(c) for c in self.columns))
 
 
+def _reduced_column(field, acc):
+    """The sparse column of the raw sums acc {row: sum}, each reduced once
+    into the field, zeros dropped."""
+    p = field.p
+    if p:
+        return [(r, x) for r in sorted(acc) if (x := acc[r] % p)]
+    return [(r, field.of(acc[r])) for r in sorted(acc) if acc[r]]
+
+
+def _integral(field, m):
+    """m with integer entries: over Q scaled by the lcm of its denominators,
+    a nonzero scalar, so that m . x = 0 exactly when the scaled map's is."""
+    if field.p:
+        return m
+    scale = math.lcm(*(x.denominator for col in m.columns for _, x in col))
+    columns = [[(r, x.numerator * (scale // x.denominator)) for r, x in col] for col in m.columns]
+    return SparseMap(m.rows, m.cols, columns)
+
+
 def _composite_vanishes(field, outer, inner):
-    """Whether outer . inner = 0, column by column."""
-    for j in range(inner.cols):
-        if outer.apply_column(field, inner.column(j)):
+    """Whether outer . inner = 0, column by column, on integer sums."""
+    p = field.p
+    outer, inner = _integral(field, outer), _integral(field, inner)
+    for col in inner.columns:
+        acc = outer.accumulate({}, col)
+        if any(x % p for x in acc.values()) if p else any(acc.values()):
             return False
     return True
 
@@ -803,7 +834,8 @@ class ShiftComplex:
 
     spaces[(p, n)] is the basis label tuple of (Sigma_p M)_n for 0 <= p <= q;
     diffs[(p, n)] is the sparse differential (Sigma_p M)_n -> (Sigma_{p-1} M)_n
-    for 1 <= p <= q.  d o d = 0 is verified at construction.
+    for 1 <= p <= q.  d o d = 0 is verified at construction, on integer sums:
+    over Q each differential is first scaled by the lcm of its denominators.
 
     proj[(p, n)] maps the key of each morphism of hom(p + d, n) to (sign,
     index of its orbit's representative).  On the complement route (d = 0)
@@ -850,10 +882,12 @@ def shift_complex(module, q, variant="plain", budget=None):
     (Sigma_p P_d)_n on the orbits of hom(p + d, n).  Any other module takes
     the route "complement": it assembles the chain spaces over the orbits
     of hom(p, n) from M at explicit complements of each representative.
-    Both routes take the faces of a representative u as the composites
-    u . (s_i + id_d), with sign (-1)^(i+1) times the orbit sign; a face adds
-    its coefficient at its orbit on the representable route, and on the
-    complement route the action of the map between the two complements.
+    Both routes take the faces of a representative u as the keys of the
+    composites u . (s_i + id_d), with sign (-1)^(i+1) times the orbit sign; a
+    face adds its coefficient at its orbit on the representable route, and
+    on the complement route the action of the map between the two
+    complements.  Each column is summed in a dict of raw numbers and reduced
+    into the field once per entry.
     """
     cat = module.cat
     field = module.field
@@ -904,22 +938,25 @@ def shift_complex(module, q, variant="plain", budget=None):
             proj_lo = proj[(p - 1, n)]
             blocks_lo = blocks.get((p - 1, n))
             blocks_hi = blocks.get((p, n))
-            entries = {}
+            columns = []
             for j, faces in enumerate(cat.precompose_each(reps, steps[p])):
                 if on_complement:
-                    off_h, _, j_h = blocks_hi[j]
-                for i, v in enumerate(faces, 1):
-                    sign, r = proj_lo[cat.key(v)]
-                    coeff = field.of(sign if i % 2 == 1 else -sign)
+                    _, rank_h, j_h = blocks_hi[j]
+                    block = [{} for _ in range(module.dims[rank_h])]
+                else:
+                    block = [{}]
+                for i, k in enumerate(faces, 1):
+                    sign, r = proj_lo[k]
+                    coeff = sign if i % 2 == 1 else -sign
                     if not on_complement:
-                        entries[(r, j)] = field.add(entries.get((r, j), field.zero), coeff)
+                        block[0][r] = block[0].get(r, 0) + coeff
                         continue
                     off_t, _, j_t = blocks_lo[r]
-                    for cc, col in enumerate(module.act(cat.factor_through(j_t, j_h)).columns):
+                    for acc, col in zip(block, module.act(cat.factor_through(j_t, j_h)).columns):
                         for rr, x in col:
-                            spot = (off_t + rr, off_h + cc)
-                            entries[spot] = field.add(entries.get(spot, field.zero), field.mul(coeff, x))
-            diffs[(p, n)] = SparseMap.from_entries(field, len(spaces[(p - 1, n)]), len(spaces[(p, n)]), entries)
+                            acc[off_t + rr] = acc.get(off_t + rr, 0) + coeff * x
+                columns.extend(_reduced_column(field, acc) for acc in block)
+            diffs[(p, n)] = SparseMap(len(spaces[(p - 1, n)]), len(spaces[(p, n)]), columns)
             if p >= 2 and not _composite_vanishes(field, diffs[(p - 1, n)], diffs[(p, n)]):
                 raise InvariantViolation("d o d != 0 at degree %d, rank %d (%s)" % (p, n, variant))
     return ShiftComplex(module, variant, route, q, spaces, diffs, proj, blocks)
@@ -1076,15 +1113,10 @@ def chain_homotopy_check(module, v_rank, budget=None):
         d_above = cplx.diff(p + 1, v_rank + 1)
         ok = True
         for j in range(cplx.dim(p, v_rank)):
-            acc = {}
-            for r, c in d_above.apply_column(field, g_maps[p].column(j)):
-                acc[r] = field.add(acc.get(r, field.zero), c)
+            acc = d_above.accumulate({}, g_maps[p].column(j))
             if p >= 1:
-                for r, c in g_maps[p - 1].apply_column(field, cplx.diff(p, v_rank).column(j)):
-                    acc[r] = field.add(acc.get(r, field.zero), c)
-            want = dict(stab_maps[p].column(j))
-            got = {r: c for r, c in acc.items() if c != field.zero}
-            if got != want:
+                g_maps[p - 1].accumulate(acc, cplx.diff(p, v_rank).column(j))
+            if dict(_reduced_column(field, acc)) != dict(stab_maps[p].column(j)):
                 ok = False
                 break
         per_degree[p] = ok

@@ -67,7 +67,10 @@ def prime_power(size):
 
 
 class FiniteRing:
-    """A finite commutative ring, elements indexed 0..size-1."""
+    """A finite commutative ring, elements indexed 0..size-1.
+
+    residues[c][x] is the residue of element x modulo moduli[c].
+    """
 
     __slots__ = (
         "spec",
@@ -79,6 +82,7 @@ class FiniteRing:
         "add",
         "mul",
         "neg",
+        "residues",
         "_digits",
         "_strides",
         "_units",
@@ -106,6 +110,7 @@ class FiniteRing:
             self.neg = lambda a, n=n: (-a) % n
             self._digits = None
             self._strides = None
+            self.residues = (tuple(range(n)),)
         else:
             strides = []
             acc = 1
@@ -117,6 +122,7 @@ class FiniteRing:
                 tuple((x // s) % n for n, s in zip(self.moduli, self._strides))
                 for x in range(size)
             )
+            self.residues = tuple(zip(*self._digits))
             self.one = self.encode((1,) * len(self.moduli))
             if size <= 64:
                 # small products get full operation tables

@@ -22,7 +22,7 @@ from .matrices import (
     inverse,
     kernel_basis,
     lift_mats,
-    mul_rows_by,
+    mul_rows_data,
     project_mat,
     row_adapted,
     try_inverse,
@@ -393,13 +393,23 @@ class SiCategory(Category):
         check_composable((g,), f)
         return si_compose(g, f)
 
-    def precompose(self, gs, f):
+    def _products(self, gs, f):
+        """The data of g.f * f.f for g in gs, by one batched product."""
         for g in gs:
             check_composable((g,), f)
             if g.src_form != f.dst_form:
                 raise PreconditionError("composition form mismatch")
-        fs = mul_rows_by([g.f for g in gs], f.f)
-        return [SiMorphism(a, f.src_form, g.dst_form, check=False) for g, a in zip(gs, fs)]
+        return mul_rows_data([g.f for g in gs], f.f)
+
+    def precompose(self, gs, f):
+        R, cols = f.ring, f.f.cols
+        return [
+            SiMorphism(Mat(R, g.f.rows, cols, a), f.src_form, g.dst_form, check=False)
+            for g, a in zip(gs, self._products(gs, f))
+        ]
+
+    def precompose_keys(self, gs, f):
+        return [(f.src, g.dst, a) for g, a in zip(gs, self._products(gs, f))]
 
     def key(self, mor):
         return (mor.src, mor.dst, mor.f.data)

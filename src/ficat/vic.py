@@ -30,8 +30,8 @@ from .matrices import (
     is_surjective,
     kernel_basis,
     lift_mats,
-    mul_cols_by,
-    mul_rows_by,
+    mul_cols_data,
+    mul_rows_data,
     try_inverse,
 )
 from .rings import prime_power
@@ -393,12 +393,18 @@ def ovic_hom_enumerate(ring, m, n, budget=None):
 # the categories
 # ---------------------------------------------------------------------------
 
-def _precompose_split(cls, gs, f):
-    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], by two batched products."""
+def _split_products(gs, f):
+    """The data of (g.f * f.f, f.fp * g.fp) for g in gs, by two batched products."""
     check_composable(gs, f)
-    pairs = zip(mul_rows_by([g.f for g in gs], f.f), mul_cols_by(f.fp, [g.fp for g in gs]))
+    return zip(mul_rows_data([g.f for g in gs], f.f), mul_cols_data(f.fp, [g.fp for g in gs]))
+
+
+def _precompose_split(cls, gs, f):
+    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], from _split_products."""
+    R, m = f.ring, f.src
+    pairs = _split_products(gs, f)
     try:
-        return [cls(a, ap, check=False) for a, ap in pairs]
+        return [cls(Mat(R, g.dst, m, a), Mat(R, m, g.dst, ap), check=False) for g, (a, ap) in zip(gs, pairs)]
     except PreconditionError:
         raise InvariantViolation("composite of column-adapted morphisms lost adaptedness")
 
@@ -457,6 +463,9 @@ class VicCategory(Category):
 
     def precompose(self, gs, f):
         return _precompose_split(VicMorphism, gs, f)
+
+    def precompose_keys(self, gs, f):
+        return [(f.src, g.dst, a, ap) for g, (a, ap) in zip(gs, _split_products(gs, f))]
 
     def key(self, mor):
         return (mor.src, mor.dst, mor.f.data, mor.fp.data)

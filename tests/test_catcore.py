@@ -9,7 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from ficat.catcore import FiCategory, FiMorphism, _action_tables, check_axioms, group_structure_report
+from ficat.catcore import Category, FiCategory, FiMorphism, _action_tables, check_axioms, group_structure_report
 from ficat.errors import PreconditionError
 from ficat.rings import make_ring
 from ficat.si import make_osi_category, make_si_category
@@ -120,31 +120,42 @@ def precompose_categories():
 
 @pytest.mark.parametrize("cat", precompose_categories(), ids=lambda c: c.describe())
 def test_precompose_matches_compose(cat):
-    """precompose(gs, f) is the loop over compose, key for key, and so is
-    precompose_each(gs, fs), also where gs spans several slices."""
+    """precompose(gs, f) is the loop over compose, key for key; so are
+    precompose_keys(gs, f), which FI, VIC and SI build from data, and the
+    keys that precompose_each(gs, fs) yields, also where gs spans several
+    slices."""
     for n in range(3):
         for m in range(n + 1):
             gs = cat.hom(m, n)
             for l in range(m + 1):
                 for f in cat.hom(l, m):
-                    got = [cat.key(x) for x in cat.precompose(gs, f)]
-                    assert got == [cat.key(cat.compose(g, f)) for g in gs]
-                    assert cat.precompose([], f) == []
+                    want = [cat.key(cat.compose(g, f)) for g in gs]
+                    assert [cat.key(x) for x in cat.precompose(gs, f)] == want
+                    assert cat.precompose_keys(gs, f) == want
+                    assert cat.precompose([], f) == [] == cat.precompose_keys([], f)
                 fs = cat.hom(l, m)[:3]
-                got = [tuple(map(cat.key, t)) for t in cat.precompose_each(gs, fs)]
+                got = list(cat.precompose_each(gs, fs))
                 assert got == [tuple(cat.key(cat.compose(g, f)) for f in fs) for g in gs]
     f = cat.identity(1)
     g = cat.identity(2)
     with pytest.raises(PreconditionError) as want:
         cat.compose(g, f)
-    with pytest.raises(PreconditionError) as got:
-        cat.precompose([cat.identity(1), g], f)
-    assert str(got.value) == str(want.value) == "composition rank mismatch: 1 vs 2"
+    for batched in (cat.precompose, cat.precompose_keys):
+        with pytest.raises(PreconditionError) as got:
+            batched([cat.identity(1), g], f)
+        assert str(got.value) == str(want.value) == "composition rank mismatch: 1 vs 2"
 
 
-class OneWrongPair(FiCategory):
+class ComposeLoopFI(FiCategory):
+    """FI with the base precompose_keys, which loops over compose, so that a
+    compose overridden in a subclass reaches every batched caller."""
+
+    precompose_keys = Category.precompose_keys
+
+
+class OneWrongPair(ComposeLoopFI):
     """FI with g . id_2 answered as g . flip for g the canonical 2 -> 3,
-    and the base precompose, which loops over this compose."""
+    and the base precompose and precompose_keys, which loop over this compose."""
 
     def compose(self, g, f):
         if g == self.canonical(2, 3) and f == self.identity(2):
@@ -238,7 +249,7 @@ def test_associativity_tables_match_composing_every_triple(case):
     assert got["status"] == "pass" and got["exhaustive_signatures"] > 0
 
 
-class WrongInHom(FiCategory):
+class WrongInHom(ComposeLoopFI):
     """FI with flip . can_2 answered as can_2 for can_2 the canonical 1 -> 2:
     a wrong composite that is still a morphism of hom(1, 2)."""
 
@@ -248,7 +259,7 @@ class WrongInHom(FiCategory):
         return super().compose(g, f)
 
 
-class WrongOutsideHom(FiCategory):
+class WrongOutsideHom(ComposeLoopFI):
     """FI with flip . id_2 answered by the non-injective (0, 0), which is no
     morphism of hom(2, 2)."""
 

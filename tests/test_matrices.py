@@ -22,9 +22,12 @@ from ficat.matrices import (
     inverse,
     is_invertible,
     is_surjective,
+    _selection,
     kernel_basis,
     mul_cols_by,
+    mul_cols_data,
     mul_rows_by,
+    mul_rows_data,
     project_mat,
     row_adapted,
     try_inverse,
@@ -426,7 +429,8 @@ def test_block_diag_places_blocks_and_checks_the_ring():
 
 
 def test_batched_products_match_mul():
-    """mul_rows_by and mul_cols_by equal one Mat.mul per matrix.
+    """mul_rows_by and mul_cols_by equal one Mat.mul per matrix, and
+    mul_rows_data and mul_cols_data its data.
 
     The fixed factor runs over every matrix of every shape up to 2x2, empty
     shapes included, so both the selection path (every column, or row, a unit
@@ -435,6 +439,7 @@ def test_batched_products_match_mul():
     rows and columns across its matrices.
     """
     rng = random.Random(11)
+    paths = set()
     for spec in ("Z/4", "Z/6", "Z/2 x Z/2"):
         R = make_ring(spec)
         for k, m in iproduct(range(3), repeat=2):
@@ -444,10 +449,17 @@ def test_batched_products_match_mul():
                 batch += pool if len(pool) <= 8 else rng.sample(pool, 8)
             batch_t = [a.transpose() for a in batch]
             for right in all_mats(R, k, m):
-                assert mul_rows_by(batch, right) == [a.mul(right) for a in batch]
+                want = [a.mul(right) for a in batch]
+                assert mul_rows_by(batch, right) == want
+                assert mul_rows_data(batch, right) == [c.data for c in want]
                 left = right.transpose()
-                assert mul_cols_by(left, batch_t) == [left.mul(b) for b in batch_t]
+                want = [left.mul(b) for b in batch_t]
+                assert mul_cols_by(left, batch_t) == want
+                assert mul_cols_data(left, batch_t) == [c.data for c in want]
                 assert mul_rows_by([], right) == [] and mul_cols_by(left, []) == []
+                assert mul_rows_data([], right) == [] and mul_cols_data(left, []) == []
+                paths.add(_selection([right.col(j) for j in range(m)], R) is None)
+    assert paths == {True, False}
 
 
 def test_batched_products_raise_as_mul():
@@ -460,7 +472,8 @@ def test_batched_products_raise_as_mul():
     for x, y in cases:
         with pytest.raises(PreconditionError) as want:
             x.mul(y)
-        for call in (lambda: mul_rows_by([a, x], y), lambda: mul_cols_by(x, [a, y])):
+        for call in (lambda: mul_rows_by([a, x], y), lambda: mul_cols_by(x, [a, y]),
+                     lambda: mul_rows_data([a, x], y), lambda: mul_cols_data(x, [a, y])):
             with pytest.raises(PreconditionError) as got:
                 call()
             assert str(got.value) == str(want.value)

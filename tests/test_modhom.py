@@ -18,12 +18,13 @@ from ficat.catcore import FiCategory
 from ficat.errors import BudgetExceeded, InvariantViolation, PreconditionError
 from ficat.rings import make_ring
 from ficat.si import make_si_category
-from ficat.vic import VicCategory, make_ovic_category, make_vic_category
+from ficat.vic import VicCategory, VicMorphism, make_ovic_category, make_vic_category
 from ficat.modhom import (
     CoefField,
     SpanBuilder,
     SparseMap,
     Submodule,
+    _composite_vanishes,
     chain_homotopy_check,
     check_functoriality,
     coef_field,
@@ -302,6 +303,75 @@ def test_kernel_vectors_from_sparse_rows():
             assert len(ker) == cols - oracle_rank(field, dense, cols)
             for v in ker:
                 assert all(x == field.zero for x in dense_mat_vec(field, dense, v))
+
+
+def test_composite_vanishes_decides_on_integer_sums():
+    """d o d = 0 is decided on integer sums: over F3 a sum of three ones
+    vanishes and a single one does not; over Q each map is scaled by the lcm
+    of its denominators, so halves that cancel vanish, and mixed
+    denominators vanish exactly when they cancel."""
+    f3, q = CoefField(3), CoefField(0)
+    ones = SparseMap(1, 3, [[(0, 1)]] * 3)
+    assert _composite_vanishes(f3, ones, SparseMap(3, 1, [[(0, 1), (1, 1), (2, 1)]]))
+    assert _composite_vanishes(f3, ones, SparseMap(3, 1, [[(0, 2), (1, 2), (2, 2)]]))
+    assert not _composite_vanishes(f3, ones, SparseMap(3, 1, [[(1, 1)]]))
+    assert not _composite_vanishes(f3, ones, SparseMap(3, 2, [[(0, 1), (1, 1), (2, 1)], [(0, 2), (2, 2)]]))
+    halves = SparseMap(1, 2, [[(0, Fraction(1, 2))], [(0, Fraction(-1, 2))]])
+    assert _composite_vanishes(q, halves, SparseMap(2, 1, [[(0, Fraction(1)), (1, Fraction(1))]]))
+    assert not _composite_vanishes(q, halves, SparseMap(2, 1, [[(0, Fraction(1)), (1, Fraction(-1))]]))
+    mixed = SparseMap(1, 2, [[(0, Fraction(1, 2))], [(0, Fraction(1, 3))]])
+    assert _composite_vanishes(q, mixed, SparseMap(2, 1, [[(0, Fraction(2)), (1, Fraction(-3))]]))
+    assert _composite_vanishes(q, mixed, SparseMap(2, 1, [[(0, Fraction(1, 3)), (1, Fraction(-1, 2))]]))
+    assert not _composite_vanishes(q, mixed, SparseMap(2, 1, [[(0, Fraction(1, 3)), (1, Fraction(-1, 3))]]))
+    assert not _composite_vanishes(q, mixed, SparseMap(2, 1, [[(0, Fraction(1)), (1, Fraction(-1))]]))
+    # against a dense product: a kernel of a random map composes to zero,
+    # and one with an entry changed mostly does not
+    rng = random.Random(1703)
+    seen = set()
+    for field in (CoefField(2), f3, q):
+        for _ in range(60):
+            rows, cols = rng.randrange(1, 5), rng.randrange(2, 6)
+            entries = {}
+            for r in range(rows):
+                for c in range(cols):
+                    if rng.random() < 0.6:
+                        x = rng.randrange(-4, 5)
+                        entries[(r, c)] = field.of(x if field.p else Fraction(x, rng.choice((1, 2, 3, 5))))
+            outer = SparseMap.from_entries(field, rows, cols, entries)
+            ker = [list(v) for v in kernel_vectors(field, outer.row_dicts(), cols)]
+            if not ker:
+                continue
+            if rng.random() < 0.5:
+                c = rng.randrange(cols)
+                ker[-1][c] = field.add(ker[-1][c], field.one)
+            inner = SparseMap(cols, len(ker), [[(c, x) for c, x in enumerate(v) if x] for v in ker])
+            dense = dense_rows(field, outer)
+            want = all(x == field.zero for v in ker for x in dense_mat_vec(field, dense, v))
+            assert _composite_vanishes(field, outer, inner) == want
+            seen.add((field.p, want))
+    assert seen == {(p, want) for p in (2, 3, 0) for want in (True, False)}
+
+
+def test_shift_complex_builds_no_morphism_per_face(monkeypatch):
+    """The faces of a VIC complex are read as keys: with the hom sets
+    cached, building the complex makes only its group and step morphisms."""
+    cat = make_vic_category(make_ring("Z/2"))
+    module = representable(cat, 0, 3, CoefField(2))
+    for n in range(4):
+        for m in range(n + 1):
+            cat.hom(m, n)
+    made = []
+    init = VicMorphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VicMorphism, "__init__", counting_init)
+    cplx = shift_complex(module, 3)
+    faces = sum(p * cplx.dim(p, n) for p, n in cplx.diffs)
+    assert faces > 500
+    assert len(made) <= 40
 
 
 # ---------------------------------------------------------------------------

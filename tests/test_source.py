@@ -1,5 +1,5 @@
-"""Source guards: the package keeps its checks under python -O and carries
-no definition that nothing uses."""
+"""Source guards: the package keeps its checks under python -O, carries
+no definition that nothing uses, and leaves the garbage collector alone."""
 
 import ast
 import re
@@ -20,6 +20,24 @@ def test_no_bare_asserts_in_package():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
+def test_no_module_imports_gc():
+    # a speedup must come from allocating less, not from switching off,
+    # freezing or retuning the cyclic garbage collector
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "__import__":
+                names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+            if any(name.split(".")[0] == "gc" for name in names):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, found
 
