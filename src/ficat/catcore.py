@@ -25,7 +25,7 @@ import math
 import random
 from itertools import permutations, product as iproduct
 
-from .errors import BudgetExceeded, InvariantViolation, PreconditionError, charge
+from .errors import BudgetExceeded, InvariantViolation, PreconditionError, charge, nonneg_int
 
 
 _HELD = 1024  # composites that the axiom checker and precompose_each hold at once
@@ -54,19 +54,15 @@ class Category:
 
     def __init__(self):
         self._hom_cache = {}
+        self._position_cache = {}
 
     def describe(self):
         return self.name
 
-    def _check_rank(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise PreconditionError("object rank must be a non-negative integer, got %r" % (n,))
-        return n
-
     def hom(self, m, n, budget=None):
         """The sorted tuple of all morphisms from rank m to rank n."""
-        self._check_rank(m)
-        self._check_rank(n)
+        nonneg_int(m, "object rank")
+        nonneg_int(n, "object rank")
         got = self._hom_cache.get((m, n))
         if got is None:
             count = self.count_hom(m, n)
@@ -84,6 +80,12 @@ class Category:
 
     def aut(self, n, budget=None):
         return self.hom(n, n, budget)
+
+    def position(self, m, n, budget=None):
+        """{key(f): index of f in hom(m, n)}, built on the first call and cached."""
+        if (m, n) not in self._position_cache:
+            self._position_cache[(m, n)] = {self.key(f): i for i, f in enumerate(self.hom(m, n, budget))}
+        return self._position_cache[(m, n)]
 
     # subclasses: count_hom, _enumerate_hom, compose, identity, key, validate
 
@@ -269,15 +271,13 @@ def _signatures(max_rank):
 def _action_tables(cat, budget):
     """act(l, m, n), built once per (l, m, n): for each f in hom(l, m), the
     positions in hom(l, n) of g . f for g over hom(m, n), or None when some
-    composite is not in hom(l, n).  Positions come from one key -> position
-    dict per hom set; g runs over hom(m, n) a slice at a time."""
-    tables, positions = {}, {}
+    composite is not in hom(l, n).  Positions come from cat.position(l, n);
+    g runs over hom(m, n) a slice at a time."""
+    tables = {}
 
     def act(l, m, n):
         if (l, m, n) not in tables:
-            pos = positions.get((l, n))
-            if pos is None:
-                pos = positions[(l, n)] = {cat.key(h): p for p, h in enumerate(cat.hom(l, n, budget))}
+            pos = cat.position(l, n, budget)
             parts = _slices(cat.hom(m, n, budget), _HELD)
             rows = [
                 [pos.get(k) for gs in parts for k in cat.precompose_keys(gs, f)]
@@ -351,6 +351,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
     Returns a report dict with an overall "ok" flag; each sub-check carries
     its own status and counters.
     """
+    nonneg_int(max_rank, "maximum rank")
     checks = {}
     report = {"category": cat.describe(), "max_rank": max_rank, "checks": checks}
 
@@ -426,8 +427,7 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
             for m in range(n):
                 can = cat.canonical(m, n)
                 orbit = {k for k, in cat.precompose_each(auts, [can])}
-                hs = cat.hom(m, n, budget)
-                if len(orbit) != len(hs) or orbit != {cat.key(f) for f in hs}:
+                if orbit != cat.position(m, n, budget).keys():
                     fail("transitivity", "automorphisms not transitive on hom(%d,%d)" % (m, n))
                 checks["transitivity"]["pairs"] += 1
 
@@ -570,7 +570,7 @@ def group_structure_report(cat, r, n, budget=None):
         orbit.add(k)
         if k == can_key:
             stab += 1
-    transitive = len(orbit) == len(hom) and orbit == {cat.key(f) for f in hom}
+    transitive = orbit == cat.position(r, n, budget).keys()
     aut_count = len(auts)
     residual = cat.count_hom(n - r, n - r)
     identity_holds = len(hom) * residual == aut_count

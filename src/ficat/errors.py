@@ -38,6 +38,13 @@ class InvariantViolation(FicatError):
     exit_code = 3
 
 
+def nonneg_int(x, what):
+    """x, when it is a non-negative integer; otherwise PreconditionError."""
+    if not isinstance(x, int) or x < 0:
+        raise PreconditionError("%s must be a non-negative integer, got %r" % (what, x))
+    return x
+
+
 def enumeration_budget(budget=None):
     """Resolve the effective enumeration budget; None means unlimited.
 

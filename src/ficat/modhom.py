@@ -34,10 +34,11 @@ field once per entry.
 """
 
 import math
+from array import array
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import InvariantViolation, PreconditionError, charge
+from .errors import InvariantViolation, PreconditionError, charge, nonneg_int
 from .wporder import order_of
 
 
@@ -369,7 +370,7 @@ class TruncatedModule:
     cached by the category's morphism key.
     """
 
-    def __init__(self, cat, field, max_rank, dims, act_fn, kind, name, gen_rank=None, labels=None, labels_index=None):
+    def __init__(self, cat, field, max_rank, dims, act_fn, kind, name, gen_rank=None, labels=None):
         self.cat = cat
         self.field = field
         self.max_rank = max_rank
@@ -378,7 +379,6 @@ class TruncatedModule:
         self.name = name
         self.gen_rank = gen_rank
         self.labels = labels
-        self.labels_index = labels_index
         self._act_fn = act_fn
         self._act_cache = {}
         self._act_bits_cache = {}
@@ -435,28 +435,20 @@ class TruncatedModule:
 
 def representable(cat, d, max_rank, field, budget=None):
     """The representable module P_d: free on hom(d, n), postcomposition acts."""
-    if not isinstance(d, int) or d < 0:
-        raise PreconditionError("generator rank must be a non-negative integer, got %r" % (d,))
-    if not isinstance(max_rank, int) or max_rank < 0:
-        raise PreconditionError("truncation must be a non-negative integer, got %r" % (max_rank,))
+    nonneg_int(d, "generator rank")
+    nonneg_int(max_rank, "truncation")
     field = coef_field(field)
-    labels = {}
-    index = {}
-    for n in range(max_rank + 1):
-        basis = cat.hom(d, n, budget=budget)
-        labels[n] = basis
-        index[n] = {cat.key(u): i for i, u in enumerate(basis)}
+    labels = {n: cat.hom(d, n, budget=budget) for n in range(max_rank + 1)}
     dims = {n: len(labels[n]) for n in labels}
 
     def act_fn(mor):
-        dst_index = index[mor.dst]
+        dst_index = cat.position(d, mor.dst)
         cols = [((dst_index[cat.key(cat.compose(mor, u))], field.one),) for u in labels[mor.src]]
         return SparseMap(dims[mor.dst], dims[mor.src], cols)
 
     return TruncatedModule(
         cat, field, max_rank, dims, act_fn,
-        kind="representable", name="P%d" % d, gen_rank=d,
-        labels=labels, labels_index=index,
+        kind="representable", name="P%d" % d, gen_rank=d, labels=labels,
     )
 
 
@@ -657,11 +649,19 @@ def submodule_closure(parent, generators, max_rank=None, budget=None):
 # Initial terms over the ordered categories
 # ---------------------------------------------------------------------------
 
+def _truncated_rank(module, rank):
+    """rank, when it is an integer in 0..N of the module's truncation."""
+    if nonneg_int(rank, "rank") > module.max_rank:
+        raise PreconditionError("rank %r is outside the truncation 0..%d" % (rank, module.max_rank))
+    return rank
+
+
 def init_of(module, rank, vec):
     """The initial term of an element of P_d: its leading coefficient times
     the largest basis morphism present in the staged total order; init(0) = 0.
     """
     field = module.field
+    _truncated_rank(module, rank)
     vec = tuple(field.of(x) for x in vec)
     if len(vec) != module.dims[rank]:
         raise PreconditionError("element at rank %d has length %d, expected %d" % (rank, len(vec), module.dims[rank]))
@@ -672,7 +672,7 @@ def init_of(module, rank, vec):
 def init_positions(module, rank, vec):
     """The basis position of the initial term, or None for the zero vector."""
     field = module.field
-    keys = module.total_keys(rank)
+    keys = module.total_keys(_truncated_rank(module, rank))
     best = None
     for pos, x in enumerate(vec):
         if field.of(x) != field.zero and (best is None or keys[pos] > keys[best]):
@@ -791,37 +791,31 @@ def _shift_group(cat, variant, p, budget=None):
     return elements
 
 
-def _orbit_tables(cat, basis, group):
-    """Representatives and the projection table of a free right action.
-
-    Returns (reps, proj) with proj[key(member)] = (sign, rep index); the
-    action must be free, and a collision raises an invariant violation.
-    A free action composes each basis element once, so this costs no more
-    than the hom enumeration that produced the basis and was charged for it.
-    """
+def _orbit_tables(cat, m, n, group, budget=None):
+    """Representatives and the projection table (signs, rep_of) of a free
+    right action on hom(m, n): arrays over its positions (Category.position)
+    of orbit signs and representative indices.  A slot reached twice means
+    the action is not free.  Each basis element is composed once, which the
+    hom enumeration that produced the basis was charged for."""
+    basis = cat.hom(m, n, budget)
     if len(group) == 1:
-        reps = tuple(basis)
-        proj = {cat.key(u): (1, i) for i, u in enumerate(reps)}
-        return reps, proj
+        return basis, (array("b", [1]) * len(basis), array("i", range(len(basis))))
+    pos = cat.position(m, n, budget)
+    signs = array("b", [0]) * len(basis)  # 0 until the slot's orbit is built
+    rep_of = array("i", [0]) * len(basis)
     reps = []
-    proj = {}
-    for u in basis:
-        if cat.key(u) in proj:
+    for t, u in enumerate(basis):
+        if signs[t]:
             continue
-        idx = len(reps)
-        reps.append(u)
-        members = {}
         for g, sign in group:
-            m = cat.compose(u, g)
-            k = cat.key(m)
-            if k in members:
+            s = pos[cat.key(cat.compose(u, g))]
+            if signs[s]:
                 raise InvariantViolation("shift identification group does not act freely")
-            members[k] = sign
-        for k, sign in members.items():
-            proj[k] = (sign, idx)
-    if len(proj) != len(basis):
+            signs[s], rep_of[s] = sign, len(reps)
+        reps.append(u)
+    if 0 in signs:
         raise InvariantViolation("orbit projection does not cover the basis")
-    return tuple(reps), proj
+    return tuple(reps), (signs, rep_of)
 
 
 def _skip_inclusion(cat, i, p):
@@ -837,10 +831,10 @@ class ShiftComplex:
     for 1 <= p <= q.  d o d = 0 is verified at construction, on integer sums:
     over Q each differential is first scaled by the lcm of its denominators.
 
-    proj[(p, n)] maps the key of each morphism of hom(p + d, n) to (sign,
-    index of its orbit's representative).  On the complement route (d = 0)
-    blocks[(p, n)] lists per representative h the (offset, complement rank,
-    complement) of its labels (h, b); on the representable route it is empty.
+    proj[(p, n)] holds two arrays over the positions of hom(p + d, n): orbit
+    signs and representative indices (read one at a time by rep_index).  On
+    the complement route (d = 0) blocks[(p, n)] lists per representative h
+    the (offset, complement rank, complement) of its labels (h, b).
     """
 
     def __init__(self, module, variant, route, q, spaces, diffs, proj, blocks):
@@ -858,6 +852,11 @@ class ShiftComplex:
 
     def diff(self, p, n):
         return self.diffs[(p, n)]
+
+    def rep_index(self, p, n, mor):
+        """The index of the orbit representative of mor, a morphism of hom(p + d, n)."""
+        cat = self.module.cat
+        return self.proj[(p, n)][1][cat.position(mor.src, n)[cat.key(mor)]]
 
     def __repr__(self):
         return "ShiftComplex(%s, %s, q=%d, N=%d)" % (self.module.name, self.variant, self.q, self.module.max_rank)
@@ -897,9 +896,7 @@ def shift_complex(module, q, variant="plain", budget=None):
         raise PreconditionError("shift complexes need a complemented category, not %s" % cat.describe())
     if variant in ("double", "triple") and not cat.is_symmetric:
         raise PreconditionError("variant %r needs a symmetric instance" % variant)
-    if not isinstance(q, int) or q < 0:
-        raise PreconditionError("chain degree bound must be a non-negative integer, got %r" % (q,))
-    if q > module.max_rank:
+    if nonneg_int(q, "chain degree bound") > module.max_rank:
         raise PreconditionError("chain degree bound %d exceeds the truncation %d" % (q, module.max_rank))
     route = "representable" if module.kind == "representable" else "complement"
     on_complement = route == "complement"
@@ -921,21 +918,21 @@ def shift_complex(module, q, variant="plain", budget=None):
     blocks = {}
     for n in range(module.max_rank + 1):
         for p in range(q + 1):
-            basis = cat.hom(p + d, n, budget=budget)
-            reps, proj[(p, n)] = _orbit_tables(cat, basis, groups[p])
+            reps, proj[(p, n)] = _orbit_tables(cat, p + d, n, groups[p], budget)
             if not on_complement:
                 spaces[(p, n)] = reps
             else:
                 spaces[(p, n)], blocks[(p, n)] = _complement_blocks(cat, module, reps)
                 if len(groups[p]) > 1:
-                    for h in basis:
+                    for h, r in zip(cat.hom(p, n), proj[(p, n)][1]):
                         rank_h, j_h = cat.complement_of(h)
-                        _, rank_r, j_r = blocks[(p, n)][proj[(p, n)][cat.key(h)][1]]
+                        _, rank_r, j_r = blocks[(p, n)][r]
                         if rank_h != rank_r or cat.key(j_h) != cat.key(j_r):
                             raise InvariantViolation("complements differ within one identification orbit")
             if not p:
                 continue
-            proj_lo = proj[(p - 1, n)]
+            pos_lo = cat.position(p - 1 + d, n)
+            signs_lo, rep_lo = proj[(p - 1, n)]
             blocks_lo = blocks.get((p - 1, n))
             blocks_hi = blocks.get((p, n))
             columns = []
@@ -946,8 +943,9 @@ def shift_complex(module, q, variant="plain", budget=None):
                 else:
                     block = [{}]
                 for i, k in enumerate(faces, 1):
-                    sign, r = proj_lo[k]
-                    coeff = sign if i % 2 == 1 else -sign
+                    t = pos_lo[k]
+                    r = rep_lo[t]
+                    coeff = signs_lo[t] if i % 2 == 1 else -signs_lo[t]
                     if not on_complement:
                         block[0][r] = block[0].get(r, 0) + coeff
                         continue
@@ -973,9 +971,8 @@ def complex_homology(cplx, v_rank, up_to_degree):
     """
     module = cplx.module
     field = module.field
-    if not (0 <= v_rank <= module.max_rank):
-        raise PreconditionError("rank %r is outside the truncation 0..%d" % (v_rank, module.max_rank))
-    if not (0 <= up_to_degree < cplx.q):
+    _truncated_rank(module, v_rank)
+    if nonneg_int(up_to_degree, "degree bound") >= cplx.q:
         raise PreconditionError(
             "degree bound %r needs the complex built past it (q = %d)" % (up_to_degree, cplx.q)
         )
@@ -1075,7 +1072,7 @@ def chain_homotopy_check(module, v_rank, budget=None):
     field = module.field
     if not cat.is_symmetric:
         raise PreconditionError("the chain homotopy needs a symmetric instance, not %s" % cat.describe())
-    if v_rank + 1 > module.max_rank:
+    if nonneg_int(v_rank, "rank") + 1 > module.max_rank:
         raise PreconditionError("rank %d + 1 exceeds the truncation %d" % (v_rank, module.max_rank))
     q = v_rank + 1
     cplx = shift_complex(module, q, "plain", budget=budget)
@@ -1085,7 +1082,7 @@ def chain_homotopy_check(module, v_rank, budget=None):
     def column(p, h, inc, b):
         """The basis column of (Sigma_p M)_{v+1} at the label of h; on the
         complement route, basis vector b carried along inc into h's block."""
-        _, r = cplx.proj[(p, v_rank + 1)][cat.key(h)]
+        r = cplx.rep_index(p, v_rank + 1, h)
         if not on_complement:
             return ((r, field.one),)
         off, _, j = cplx.blocks[(p, v_rank + 1)][r]
@@ -1099,8 +1096,7 @@ def chain_homotopy_check(module, v_rank, budget=None):
         for label in cplx.spaces[(p, v_rank)]:
             if on_complement:
                 h, b = label
-                _, r = cplx.proj[(p, v_rank)][cat.key(h)]
-                inc = cat.compose(iota, cplx.blocks[(p, v_rank)][r][2])
+                inc = cat.compose(iota, cplx.blocks[(p, v_rank)][cplx.rep_index(p, v_rank, h)][2])
             else:
                 h, b, inc = label, None, None
             g_cols.append(column(p + 1, _rotate_last(cat, h), inc, b))

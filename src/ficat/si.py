@@ -11,7 +11,7 @@ A morphism m -> n is a 2n x 2m matrix f with f^T . Gram_dst . f = Gram_src.
 
 from itertools import product as iproduct
 
-from .errors import PreconditionError, InvariantViolation, charge
+from .errors import PreconditionError, InvariantViolation, charge, nonneg_int
 from .rings import prime_power
 from .matrices import (
     Mat,
@@ -84,8 +84,7 @@ _STD_CACHE = {}
 def standard_form(ring, n):
     """The standard form on R^{2n}: 2x2 blocks [[0,1],[-1,0]] down the
     diagonal, one per interleaved pair."""
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError("pair rank must be a non-negative integer")
+    nonneg_int(n, "pair rank")
     got = _STD_CACHE.get((ring, n))
     if got is None:
         blk = Mat.from_rows(ring, [[ring.zero, ring.one], [ring.neg_one, ring.zero]])
@@ -140,8 +139,7 @@ def perp(w, form):
 def symplectic_forms(ring, n, budget=None):
     """All symplectic (alternating nondegenerate) forms on R^{2n}, by brute
     force over the strictly upper triangle."""
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError("pair rank must be a non-negative integer")
+    nonneg_int(n, "pair rank")
     dim = 2 * n
     spots = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     charge(ring.size ** len(spots), budget, "symplectic form enumeration")
@@ -172,8 +170,7 @@ def _sp_order_local(p, k, n):
 
 def sp_order(ring, n):
     """|Sp_{2n}(R)|, multiplied over the local factors of R."""
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError("pair rank must be a non-negative integer")
+    nonneg_int(n, "pair rank")
     total = 1
     for fac in ring.local.factors:
         p, k = prime_power(fac.size)
@@ -620,8 +617,8 @@ class OsiCategory(Category):
     def hom(self, m, n, budget=None):
         """The sorted row-adapted maps from rank m to rank n, filtered once
         from the SI maps; the budget is charged for the SI enumeration."""
-        self._check_rank(m)
-        self._check_rank(n)
+        nonneg_int(m, "object rank")
+        nonneg_int(n, "object rank")
         got = self._hom_cache.get((m, n))
         if got is None:
             charge(_si_hom_count(self.ring, m, n), budget, "hom(%d,%d) enumeration in %s" % (m, n, self.describe()))

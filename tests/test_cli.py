@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ficat.catcore import FiCategory
+from ficat.catcore import FiCategory, check_axioms
 from ficat.cli import main, mor_from_json, mor_to_json
+from ficat.errors import PreconditionError
 from ficat.rings import make_ring
 from ficat.si import make_osi_category, make_si_category
 from ficat.vic import make_ovic_category, make_vic_category
@@ -192,6 +193,18 @@ def test_axioms_cli(capsys):
     rec = json.loads(out)
     assert rec["ok"] is True
     assert rec["category"] == "OVIC(Z/2)"
+
+
+def test_axioms_cli_rejects_a_negative_max_rank(capsys):
+    # a negative rank would check nothing and report "ok"
+    rc, out = run_cli(capsys, "axioms", "--cat", "FI", "--max-rank", "-1")
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": "precondition",
+        "detail": "maximum rank must be a non-negative integer, got -1",
+    }
+    with pytest.raises(PreconditionError):
+        check_axioms(FiCategory(), "2")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ throughout.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -22,9 +23,12 @@ from ficat.vic import VicCategory, VicMorphism, make_ovic_category, make_vic_cat
 from ficat.modhom import (
     CoefField,
     SpanBuilder,
+    VARIANTS,
     SparseMap,
     Submodule,
     _composite_vanishes,
+    _orbit_tables,
+    _shift_group,
     chain_homotopy_check,
     check_functoriality,
     coef_field,
@@ -407,7 +411,7 @@ def test_representable_action_matrix_by_hand():
     mat = P1.act(iota)
     u = P1.labels[1][0]
     v = F.compose(iota, u)
-    idx = P1.labels_index[2][F.key(v)]
+    idx = F.position(1, 2)[F.key(v)]
     assert (mat.rows, mat.cols) == (2, 1)
     assert mat.columns == (((idx, Q.one),),)
 
@@ -553,9 +557,9 @@ def test_quotient_variant_dims_divide_by_the_group_order():
 
 
 def whole_as_submodule(P, d):
-    """P_d rebuilt as the submodule its identity generates: the same
-    module, reached by the complement route."""
-    mod = submodule_closure(P, [(d, (1,))]).as_module()
+    """P_d rebuilt as the submodule one basis morphism at rank d (an
+    automorphism) generates: the same module, reached by the complement route."""
+    mod = submodule_closure(P, [(d, (1,) + (0,) * (P.dims[d] - 1))]).as_module()
     assert mod.dims == P.dims
     return mod
 
@@ -644,6 +648,67 @@ def test_complex_homology_preconditions():
         complex_homology(cx, 4, 1)
     with pytest.raises(PreconditionError):
         complex_homology(cx, 2, 2)  # needs the differential past q
+    for v_rank, degree in ((-1, 1), ("1", 1), (1.0, 1), (1, -1), (1, "1"), (1, 1.0)):
+        with pytest.raises(PreconditionError):
+            complex_homology(cx, v_rank, degree)
+    for degree in (-1, "1", 1.0):
+        with pytest.raises(PreconditionError):
+            exactness_report(cx, degree)
+
+
+def _orbit_oracle(cplx):
+    """Check each (signs, rep_of) table of a complex against brute force:
+    the morphism at position t of hom(p + d, n) is its representative
+    composed with a group element of sign signs[t], each orbit has one
+    member per group element, and representatives are numbered in order of
+    their first position, as the chain spaces list them."""
+    module = cplx.module
+    cat = module.cat
+    d = 0 if cplx.route == "complement" else module.gen_rank
+    for (p, n), (signs, rep_of) in cplx.proj.items():
+        group = [(cat.monoidal_sum(g, cat.identity(d)), sign) for g, sign in _shift_group(cat, cplx.variant, p)]
+        hom = cat.hom(p + d, n)
+        assert len(signs) == len(rep_of) == len(hom)
+        firsts = {}
+        for t, r in enumerate(rep_of):
+            firsts.setdefault(r, t)
+        assert list(firsts) == list(range(len(firsts)))
+        reps = [hom[t] for t in firsts.values()]
+        if cplx.route == "representable":
+            assert list(cplx.spaces[(p, n)]) == reps
+        else:
+            for (off, rank, _), h in zip(cplx.blocks[(p, n)], reps):
+                assert [label[0] for label in cplx.spaces[(p, n)][off:off + module.dims[rank]]] == [h] * module.dims[rank]
+        orbits = [{} for _ in reps]
+        for members, u in zip(orbits, reps):
+            for g, sign in group:
+                members.setdefault(cat.key(cat.compose(u, g)), []).append(sign)
+        for t, h in enumerate(hom):
+            assert signs[t] in orbits[rep_of[t]][cat.key(h)]
+        assert Counter(rep_of) == {r: len(group) for r in range(len(reps))}
+        position = cat.position(p + d, n)
+        assert position is cat.position(p + d, n)
+        assert all(position[cat.key(h)] == i for i, h in enumerate(hom))
+
+
+def test_orbit_tables_and_positions_match_brute_force():
+    R2 = make_ring("Z/2")
+    for cat, nmax in ((FiCategory(), 4), (make_vic_category(R2), 3), (make_si_category(R2), 2)):
+        assert cat.is_symmetric  # so every variant is allowed
+        for d in (0, 1):
+            P = representable(cat, d, nmax, "F2")
+            for module in (P, whole_as_submodule(P, d)):
+                for variant in VARIANTS:
+                    _orbit_oracle(shift_complex(module, nmax, variant))
+
+
+def test_orbit_tables_reject_a_group_that_does_not_act_freely():
+    F = FiCategory()
+    group = _shift_group(F, "double", 2)
+    assert len(group) == 2
+    _orbit_tables(F, 2, 3, group)
+    with pytest.raises(InvariantViolation, match="does not act freely"):
+        _orbit_tables(F, 2, 3, group + group[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +765,9 @@ def test_chain_homotopy_needs_symmetry_and_room():
     P0 = representable(F, 0, 2, "Q")
     with pytest.raises(PreconditionError):
         chain_homotopy_check(P0, 2)  # rank + 1 beyond truncation
+    for v_rank in (-1, "1", 1.0):
+        with pytest.raises(PreconditionError):
+            chain_homotopy_check(P0, v_rank)
 
 
 def test_generation_degree_representables_and_zero():
@@ -851,6 +919,13 @@ def test_init_requires_the_ordered_categories():
     P1v = representable(V2, 1, 2, "F2")
     with pytest.raises(PreconditionError):
         init_of(P1v, 2, (0,) * 6)
+    # and a rank inside the truncation
+    P1o = representable(make_ovic_category(R2), 1, 2, "F2")
+    for rank in (-1, 3, "2"):
+        with pytest.raises(PreconditionError):
+            init_of(P1o, rank, (0,) * 6)
+        with pytest.raises(PreconditionError):
+            init_positions(P1o, rank, (0,) * 6)
 
 
 def test_init_module_positions_match_a_sampling_oracle():

@@ -1,5 +1,6 @@
 """Source guards: the package keeps its checks under python -O, carries
-no definition that nothing uses, and leaves the garbage collector alone."""
+no definition that nothing uses, leaves the garbage collector alone, and
+indexes hom sets through Category.position only."""
 
 import ast
 import re
@@ -39,6 +40,29 @@ def test_no_module_imports_gc():
                 names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
             if any(name.split(".")[0] == "gc" for name in names):
                 found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
+def test_only_category_position_indexes_keys():
+    # one key -> position dict per hom set, cached by the category: no other
+    # dict comprehension may be keyed by a .key(...) call
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.DictComp)
+            and isinstance(node.key, ast.Call)
+            and getattr(node.key.func, "attr", None) == "key"
+            and scope != ("Category", "position")
+        ):
+            found.append("%s:%d" % (path.name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), ())
     assert not found, found
 
 
