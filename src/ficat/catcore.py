@@ -67,13 +67,16 @@ class Category:
         if got is None:
             count = self.count_hom(m, n)
             charge(count, budget, "hom(%d,%d) enumeration in %s" % (m, n, self.describe()))
-            got = tuple(sorted(self._enumerate_hom(m, n), key=self.key))
+            mors = list(self._enumerate_hom(m, n))
+            keys = [self.key(f) for f in mors]
+            order = sorted(range(len(mors)), key=keys.__getitem__)
+            got = tuple(mors[i] for i in order)
             if len(got) != count:
                 raise InvariantViolation(
                     "hom(%d,%d) in %s enumerated %d morphisms, counted %d"
                     % (m, n, self.describe(), len(got), count)
                 )
-            if len(set(self.key(f) for f in got)) != len(got):
+            if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
                 raise InvariantViolation("duplicate morphisms in hom enumeration")
             self._hom_cache[(m, n)] = got
         return got

@@ -4,8 +4,9 @@ A truncated module assigns to every rank n <= N a finite-dimensional space
 over an exact coefficient field (the rationals or a prime field) and to every
 morphism an action matrix, functorial on everything enumerable below the
 truncation.  Every linear map here (actions, differentials, homotopies,
-stabilizations) is one SparseMap, stored column by column, and one echelon
-of sparse rows (SpanBuilder) answers rank, kernel and span membership.
+stabilizations) is one SparseMap, stored column by column; its rank streams
+the columns, and one echelon of sparse rows (SpanBuilder) answers kernel,
+basis and span membership.
 On top of that this module provides:
 
   * representable modules P_d (free on hom(d, -), acting by postcomposition),
@@ -125,14 +126,16 @@ def coef_field(spec):
 # ---------------------------------------------------------------------------
 # Row-space linear algebra over a CoefField
 # ---------------------------------------------------------------------------
-# One elimination serves every question: SpanBuilder keeps an incremental
-# row echelon of sparse rows {column: nonzero coefficient}, each stored
-# under its pivot, the least column present, with a unit pivot.  Rank is
-# its dimension and membership is reduction to zero; basis() is the one
-# back-substitution, to the canonical reduced form from which kernels and
-# coordinates are read.  Over F_2 the rows are bit-packed integers (bit c
-# is column c).  Vectors come in as dense tuples, as dicts, or over F_2 as
-# integers.
+# Two eliminations.  SparseMap.rank streams a map's stored columns, each
+# packed along the rows and reduced on the pivots kept so far, pivoting on
+# its last nonzero row; only the pivots are held.  SpanBuilder serves basis,
+# membership and kernels: it keeps an incremental row echelon of sparse rows
+# {column: nonzero coefficient}, each stored under its pivot, the least
+# column present, with a unit pivot.  Membership is reduction to zero;
+# basis() is the one back-substitution, to the canonical reduced form from
+# which kernels and coordinates are read.  Over F_2 both pack vectors into
+# integers (bit i is row or column i).  SpanBuilder takes vectors as dense
+# tuples, as dicts, or over F_2 as integers.
 
 def _bits_to_vec(bits, width):
     return tuple((bits >> c) & 1 for c in range(width))
@@ -271,7 +274,7 @@ class SpanBuilder:
 # ---------------------------------------------------------------------------
 
 class SparseMap:
-    """A linear map stored column by column as ((row, coefficient), ...)."""
+    """A linear map stored column by column as ((row, nonzero coefficient), ...)."""
 
     __slots__ = ("rows", "cols", "columns")
 
@@ -315,14 +318,40 @@ class SparseMap:
         return rows
 
     def rank(self, field):
+        """The rank over field, by one pass over the stored columns.
+
+        Each column is packed along the rows as it is read (over F_2 an int
+        with bit r set, otherwise {row: coefficient}) and reduced on the
+        pivots kept so far, each stored under its last nonzero row; a column
+        left nonzero becomes a pivot.  Over F_p and Q a pivot is scaled to a
+        unit at that row and kept without it, so every step removes the
+        column's last entry.  Only the pivot vectors are held, never the rows.
+        """
+        pivots = {}
         if field.p == 2:
-            rows = [0] * self.rows
-            for j, col in enumerate(self.columns):
+            for col in self.columns:
+                v = 0
                 for r, _ in col:
-                    rows[r] |= 1 << j
-        else:
-            rows = self.row_dicts()
-        return SpanBuilder(field, self.cols, rows).dim()
+                    v |= 1 << r
+                while v:
+                    j = v.bit_length() - 1
+                    if j not in pivots:
+                        pivots[j] = v
+                        break
+                    v ^= pivots[j]
+            return len(pivots)
+        p = field.p
+        for col in self.columns:
+            v = dict(col)
+            while v:
+                j = max(v)
+                c = v.pop(j)
+                if j not in pivots:
+                    scale = field.inv(c)
+                    pivots[j] = {r: field.mul(scale, x) for r, x in v.items()}
+                    break
+                _axpy(p, v, -c, pivots[j])
+        return len(pivots)
 
     def __repr__(self):
         return "SparseMap(%d x %d, %d entries)" % (self.rows, self.cols, sum(len(c) for c in self.columns))
@@ -1126,7 +1155,7 @@ def chain_homotopy_check(module, v_rank, budget=None):
             kernel = kernel_vectors(field, cplx.diff(i, v_rank).row_dicts(), dim_i)
             cycles = [[(t, x) for t, x in enumerate(z) if x] for z in kernel]
         boundaries = SpanBuilder(
-            field, cplx.dim(i, v_rank + 1), [dict(col) for col in cplx.diff(i + 1, v_rank + 1).columns]
+            field, cplx.dim(i, v_rank + 1), (dict(col) for col in cplx.diff(i + 1, v_rank + 1).columns)
         )
         induced[i] = all(boundaries.contains(dict(stab_maps[i].apply_column(field, z))) for z in cycles)
 

@@ -10,7 +10,7 @@ from itertools import product as iproduct
 import pytest
 
 from ficat.catcore import Category, FiCategory, FiMorphism, _action_tables, check_axioms, group_structure_report
-from ficat.errors import PreconditionError
+from ficat.errors import InvariantViolation, PreconditionError
 from ficat.rings import make_ring
 from ficat.si import make_osi_category, make_si_category
 from ficat.vic import make_ovic_category, make_vic_category
@@ -31,6 +31,32 @@ def test_fi_hom_matches_brute():
             hom = fi.hom(m, n)
             assert sorted(f.images for f in hom) == brute_injections(m, n)
             assert len(hom) == fi.count_hom(m, n)
+
+
+class ShuffledFI(FiCategory):
+    """FI enumerating each hom set in a shuffled order, with one morphism
+    of hom(2, 3) optionally repeated in place of another."""
+
+    def __init__(self, repeat=False):
+        super().__init__()
+        self.repeat = repeat
+
+    def _enumerate_hom(self, m, n):
+        mors = list(super()._enumerate_hom(m, n))
+        random.Random(m * 10 + n).shuffle(mors)
+        if self.repeat and (m, n) == (2, 3):
+            mors[-1] = mors[0]
+        return mors
+
+
+def test_hom_sorts_by_key_and_rejects_a_repeated_morphism():
+    cat = ShuffledFI()
+    for m, n in ((0, 2), (2, 3), (3, 4)):
+        hom = cat.hom(m, n)
+        assert [f.images for f in hom] == sorted(f.images for f in FiCategory().hom(m, n))
+        assert cat.position(m, n) == {cat.key(f): i for i, f in enumerate(hom)}
+    with pytest.raises(InvariantViolation, match="duplicate morphisms in hom enumeration"):
+        ShuffledFI(repeat=True).hom(2, 3)
 
 
 def test_fi_compose_identity():

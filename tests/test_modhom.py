@@ -8,6 +8,7 @@ throughout.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -238,11 +239,52 @@ def _to_builder(sb, vec):
     return vec
 
 
+def known_rank_columns(rng, field, rows, cols, rank):
+    """cols columns of height rows spanning a space of exactly the given
+    rank: basis column i is 1 at its own row and 0 at the rows of the basis
+    columns before it, so the basis is independent, and every other column
+    is a zero column, a repeat of an earlier one or a combination of the
+    basis."""
+    lead = rng.sample(range(rows), rank)
+    if field.p:
+        coeffs = [field.of(x) for x in range(field.p)]
+    else:
+        coeffs = [field.of(x) for x in (0, 1, -2, Fraction(3, 5), Fraction(-7, 2))]
+    basis = []
+    for i in range(rank):
+        col = [rng.choice(coeffs) for _ in range(rows)]
+        for r in lead[:i]:
+            col[r] = field.zero
+        col[lead[i]] = field.one
+        basis.append(col)
+    spots = set(rng.sample(range(cols), rank))
+    placed = iter(basis)
+    out = []
+    for j in range(cols):
+        pick = rng.random()
+        if j in spots:
+            out.append(next(placed))
+        elif pick < 0.2 or not rank:
+            out.append([field.zero] * rows)
+        elif pick < 0.4 and out:
+            out.append(list(rng.choice(out)))
+        else:
+            mix = [rng.choice(coeffs) for _ in range(rank)]
+            out.append([field.of(sum(c * b[r] for c, b in zip(mix, basis))) for r in range(rows)])
+    return out
+
+
+def sparse_from_columns(rows, columns):
+    return SparseMap(rows, len(columns), [[(r, x) for r, x in enumerate(col) if x] for col in columns])
+
+
 def test_sparse_map_roundtrip_and_rank():
     rng = random.Random(7)
-    # SpanBuilder and SparseMap.rank share one elimination, so the rank is
-    # checked against minors (Q) and the enumerated row space (F_p), on
-    # random shapes and on maps far wider than tall and far taller than wide
+    # SparseMap.rank streams columns on last-row pivots and SpanBuilder
+    # eliminates rows on least-column pivots, so SpanBuilder is an
+    # independent oracle here; both are checked against minors (Q) and the
+    # enumerated row space (F_p), on random shapes and on maps far wider
+    # than tall and far taller than wide
     for field in (CoefField(2), CoefField(3), CoefField(0)):
         shapes = [(rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(15)]
         for rows, cols in shapes + [(2, 7), (7, 2), (3, 8), (8, 3)]:
@@ -259,6 +301,26 @@ def test_sparse_map_roundtrip_and_rank():
             assert rank == SpanBuilder(field, cols, dense).dim() == oracle_rank(field, dense, cols)
     empty = SparseMap.from_entries(CoefField(0), 3, 0, {})
     assert empty.rank(CoefField(0)) == 0
+    # maps of known rank: over F_2 past 64 rows and columns, so that the
+    # packed columns and SpanBuilder's rows span several machine words; over
+    # Q with non-integer entries; with zero and repeated columns throughout
+    big = {2: [(70, 300, 50), (300, 70, 70), (130, 130, 129), (65, 65, 0)],
+           3: [(12, 40, 9), (40, 12, 12), (20, 20, 19)],
+           0: [(12, 40, 9), (40, 12, 12), (15, 15, 14)]}
+    for p, cases in big.items():
+        field = CoefField(p)
+        for rows, cols, want in cases:
+            columns = known_rank_columns(rng, field, rows, cols, want)
+            sm = sparse_from_columns(rows, columns)
+            dense = list(zip(*columns))
+            assert sm.rank(field) == want == SpanBuilder(field, cols, dense).dim()
+            assert sparse_from_columns(cols, dense).rank(field) == want
+        if not p:
+            assert any(isinstance(x, Fraction) and x.denominator > 1 for col in columns for x in col)
+        for rows, cols in ((70, 90), (4, 3)):
+            assert sparse_from_columns(rows, [[field.zero] * rows] * cols).rank(field) == 0
+            col = [field.of(r % 3 + 1) for r in range(rows)]
+            assert sparse_from_columns(rows, [col] * cols).rank(field) == 1
 
 
 def _dict_with_zeros(rng, vec):
@@ -515,6 +577,28 @@ def test_injective_words_homology_is_derangements_in_top_degree():
         for i in range(n + 1):
             want = derangements(n) if i == n else 0
             assert dims["H%d" % i] == want
+
+
+@pytest.mark.parametrize("fieldspec", ["Q", "F3"])
+def test_injective_words_homology_is_derangements_through_rank_six(fieldspec):
+    cx = shift_complex(representable(FiCategory(), 0, 7, fieldspec), 7)
+    for n in range(1, 7):
+        dims = complex_homology(cx, n, n)
+        assert dims == {"H%d" % i: derangements(n) if i == n else 0 for i in range(n + 1)}
+
+
+def test_rank_holds_only_pivots_in_memory():
+    # d_3 of the VIC(Z/2) complex at rank 4 is 3360 x 20160; a table of its
+    # rows, or of bit rows as wide as its columns, peaks far above this bound
+    cx = shift_complex(representable(make_vic_category(make_ring("Z/2")), 0, 4, CoefField(2)), 3)
+    d3 = cx.diff(3, 4)
+    tracemalloc.start()
+    try:
+        assert d3.rank(CoefField(2)) == 3235
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_homology_base_cases_and_report_envelope():
