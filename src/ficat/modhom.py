@@ -4,9 +4,9 @@ A truncated module assigns to every rank n <= N a finite-dimensional space
 over an exact coefficient field (the rationals or a prime field) and to every
 morphism an action matrix, functorial on everything enumerable below the
 truncation.  Every linear map here (actions, differentials, homotopies,
-stabilizations) is one SparseMap, stored column by column; its rank streams
-the columns, and one echelon of sparse rows (SpanBuilder) answers kernel,
-basis and span membership.
+stabilizations) is one SparseMap, its columns packed into flat arrays of
+rows and coefficients; its rank streams the columns, and one echelon of
+sparse rows (SpanBuilder) answers kernel, basis and span membership.
 On top of that this module provides:
 
   * representable modules P_d (free on hom(d, -), acting by postcomposition),
@@ -29,15 +29,16 @@ on the orbits of hom(p + d, n); any other module (route "complement") has a
 block of M at each representative's complement, and the whole of a
 representable, taken as a submodule, cross-checks the two routes.  The faces
 are read as keys (Category.precompose_each), with no morphism per face, and
-every sum of coefficients (a differential's entries, its d o d check, the
-homotopy check) runs on raw integers or rationals and is reduced into the
-field once per entry.
+every sum of coefficients (a differential's entries, written straight into
+its arrays, its d o d check, the homotopy check) runs on raw integers or
+rationals and is reduced into the field once per entry.
 """
 
 import math
 from array import array
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import compress, count, pairwise, permutations, product
+from operator import ge
 
 from .errors import InvariantViolation, PreconditionError, charge, nonneg_int
 from .wporder import order_of
@@ -73,9 +74,6 @@ class CoefField:
         if isinstance(x, Fraction) and x.denominator % p:
             return x.numerator * pow(x.denominator, -1, p) % p
         raise PreconditionError("%r has no image in %s" % (x, self))
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
 
     def sub(self, a, b):
         return (a - b) % self.p if self.p else a - b
@@ -126,9 +124,9 @@ def coef_field(spec):
 # ---------------------------------------------------------------------------
 # Row-space linear algebra over a CoefField
 # ---------------------------------------------------------------------------
-# Two eliminations.  SparseMap.rank streams a map's stored columns, each
-# packed along the rows and reduced on the pivots kept so far, pivoting on
-# its last nonzero row; only the pivots are held.  SpanBuilder serves basis,
+# Two eliminations.  SparseMap.rank streams a map's columns, array slices,
+# each packed along the rows and reduced on the pivots kept so far, pivoting
+# on its last nonzero row; only the pivots are held.  SpanBuilder serves basis,
 # membership and kernels: it keeps an incremental row echelon of sparse rows
 # {column: nonzero coefficient}, each stored under its pivot, the least
 # column present, with a unit pivot.  Membership is reduction to zero;
@@ -274,47 +272,70 @@ class SpanBuilder:
 # ---------------------------------------------------------------------------
 
 class SparseMap:
-    """A linear map stored column by column as ((row, nonzero coefficient), ...)."""
+    """A linear map in compressed-sparse-column form: column j has the rows
+    row_of[starts[j]:starts[j + 1]] (array('i')s), strictly increasing, with
+    nonzero coefficients in the same slice of the list coef.  column(j) and
+    columns are pair-tuple views for reading by hand."""
 
-    __slots__ = ("rows", "cols", "columns")
+    __slots__ = ("rows", "cols", "starts", "row_of", "coef")
 
     def __init__(self, rows, cols, columns):
-        self.rows = rows
-        self.cols = cols
-        self.columns = tuple(tuple(col) for col in columns)
-        if len(self.columns) != cols:
-            raise PreconditionError("sparse map has %d columns, declared %d" % (len(self.columns), cols))
+        starts, row_of, coef = array("i", [0]), array("i"), []
+        for col in columns:
+            for r, x in col:
+                row_of.append(r)
+                coef.append(x)
+            starts.append(len(row_of))
+        if len(starts) != cols + 1:
+            raise PreconditionError("sparse map has %d columns, declared %d" % (len(starts) - 1, cols))
+        self._adopt(rows, starts, row_of, coef)
 
     @classmethod
-    def from_entries(cls, field, rows, cols, entries):
-        """Build from accumulated {(row, col): coefficient}, dropping zeros."""
-        cols_data = [[] for _ in range(cols)]
-        for (r, c), coeff in entries.items():
-            if coeff != field.zero:
-                cols_data[c].append((r, coeff))
-        return cls(rows, cols, [sorted(col) for col in cols_data])
+    def packed(cls, rows, starts, row_of, coef):
+        """The map with these arrays, checked like pair columns."""
+        m = cls.__new__(cls)
+        m._adopt(rows, starts, row_of, coef)
+        return m
+
+    def _adopt(self, rows, starts, row_of, coef):
+        if row_of and (min(row_of) < 0 or max(row_of) >= rows):
+            raise PreconditionError("sparse map has a row outside 0..%d" % (rows - 1))
+        # a row not above the one before must open a column; both are sorted, so `in` walks starts once
+        opens = iter(starts)
+        if not all(k in opens for k in compress(count(1), map(ge, row_of, row_of[1:]))):
+            raise PreconditionError("sparse map rows are not strictly increasing within a column")
+        if 0 in coef:
+            raise PreconditionError("sparse map stores a zero coefficient")
+        self.rows, self.cols, self.starts, self.row_of, self.coef = rows, len(starts) - 1, starts, row_of, coef
 
     def column(self, j):
-        return self.columns[j]
+        a, b = self.starts[j], self.starts[j + 1]
+        return tuple(zip(self.row_of[a:b], self.coef[a:b]))
+
+    @property
+    def columns(self):
+        return tuple(map(self.column, range(self.cols)))
 
     def accumulate(self, acc, col_entries):
         """Add this map applied to a sparse column (pairs (j, coeff)) into
         acc {row: raw sum}, with no reduction; returns acc."""
+        starts, row_of, coef = self.starts, self.row_of, self.coef
         for j, c in col_entries:
-            for r, x in self.columns[j]:
-                acc[r] = acc.get(r, 0) + c * x
+            for k in range(starts[j], starts[j + 1]):
+                r = row_of[k]
+                acc[r] = acc.get(r, 0) + c * coef[k]
         return acc
 
     def apply_column(self, field, col_entries):
-        """Apply to a sparse column (list of (row, coeff)); sparse result."""
+        """Apply to a sparse column (pairs (row, coeff)); {row: coeff} in row order."""
         return _reduced_column(field, self.accumulate({}, col_entries))
 
     def row_dicts(self):
         """The rows as {column: coefficient}."""
         rows = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for r, c in col:
-                rows[r][j] = c
+        for j, (a, b) in enumerate(pairwise(self.starts)):
+            for r, x in zip(self.row_of[a:b], self.coef[a:b]):
+                rows[r][j] = x
         return rows
 
     def rank(self, field):
@@ -328,10 +349,11 @@ class SparseMap:
         column's last entry.  Only the pivot vectors are held, never the rows.
         """
         pivots = {}
+        starts, row_of = self.starts, self.row_of
         if field.p == 2:
-            for col in self.columns:
+            for a, b in pairwise(starts):
                 v = 0
-                for r, _ in col:
+                for r in row_of[a:b]:
                     v |= 1 << r
                 while v:
                     j = v.bit_length() - 1
@@ -341,8 +363,8 @@ class SparseMap:
                     v ^= pivots[j]
             return len(pivots)
         p = field.p
-        for col in self.columns:
-            v = dict(col)
+        for a, b in pairwise(starts):
+            v = dict(zip(row_of[a:b], self.coef[a:b]))
             while v:
                 j = max(v)
                 c = v.pop(j)
@@ -354,34 +376,34 @@ class SparseMap:
         return len(pivots)
 
     def __repr__(self):
-        return "SparseMap(%d x %d, %d entries)" % (self.rows, self.cols, sum(len(c) for c in self.columns))
+        return "SparseMap(%d x %d, %d entries)" % (self.rows, self.cols, len(self.row_of))
 
 
 def _reduced_column(field, acc):
-    """The sparse column of the raw sums acc {row: sum}, each reduced once
-    into the field, zeros dropped."""
+    """The raw sums acc {row: sum} in row order, each reduced once into the
+    field, zeros dropped."""
     p = field.p
     if p:
-        return [(r, x) for r in sorted(acc) if (x := acc[r] % p)]
-    return [(r, field.of(acc[r])) for r in sorted(acc) if acc[r]]
+        return {r: x for r in sorted(acc) if (x := acc[r] % p)}
+    return {r: field.of(acc[r]) for r in sorted(acc) if acc[r]}
 
 
 def _integral(field, m):
-    """m with integer entries: over Q scaled by the lcm of its denominators,
-    a nonzero scalar, so that m . x = 0 exactly when the scaled map's is."""
+    """m with integer entries and m's row arrays: over Q scaled by the lcm of
+    its denominators, so that m . x = 0 exactly when the scaled map's is."""
     if field.p:
         return m
-    scale = math.lcm(*(x.denominator for col in m.columns for _, x in col))
-    columns = [[(r, x.numerator * (scale // x.denominator)) for r, x in col] for col in m.columns]
-    return SparseMap(m.rows, m.cols, columns)
+    scale = math.lcm(*(x.denominator for x in m.coef))
+    return SparseMap.packed(m.rows, m.starts, m.row_of, [x.numerator * (scale // x.denominator) for x in m.coef])
 
 
 def _composite_vanishes(field, outer, inner):
     """Whether outer . inner = 0, column by column, on integer sums."""
     p = field.p
     outer, inner = _integral(field, outer), _integral(field, inner)
-    for col in inner.columns:
-        acc = outer.accumulate({}, col)
+    row_of, coef = inner.row_of, inner.coef
+    for a, b in pairwise(inner.starts):
+        acc = outer.accumulate({}, zip(row_of[a:b], coef[a:b]))
         if any(x % p for x in acc.values()) if p else any(acc.values()):
             return False
     return True
@@ -444,7 +466,8 @@ class TruncatedModule:
         key = self.cat.key(mor)
         got = self._act_bits_cache.get(key)
         if got is None:
-            got = tuple(sum(1 << r for r, _ in col) for col in self.act(mor).columns)
+            m = self.act(mor)
+            got = tuple(sum(1 << r for r in m.row_of[a:b]) for a, b in pairwise(m.starts))
             self._act_bits_cache[key] = got
         return got
 
@@ -502,8 +525,7 @@ def check_functoriality(module, up_to=None, budget=None):
     cap = module.max_rank if up_to is None else min(up_to, module.max_rank)
     pairs = 0
     for n in range(cap + 1):
-        ident = module.act(cat.identity(n))
-        if [dict(col) for col in ident.columns] != [{j: field.one} for j in range(module.dims[n])]:
+        if module.act(cat.identity(n)).row_dicts() != [{j: field.one} for j in range(module.dims[n])]:
             raise InvariantViolation("act(identity(%d)) is not the identity matrix" % n)
     for a in range(cap + 1):
         for b in range(a, cap + 1):
@@ -519,8 +541,8 @@ def check_functoriality(module, up_to=None, budget=None):
                         left = module.act(cat.compose(g, f))
                         act_g = module.act(g)
                         if any(
-                            dict(col) != dict(act_g.apply_column(field, f_col))
-                            for col, f_col in zip(left.columns, act_f.columns)
+                            dict(left.column(j)) != act_g.apply_column(field, act_f.column(j))
+                            for j in range(left.cols)
                         ):
                             raise InvariantViolation(
                                 "act(g . f) != act(g) act(f) for f: %d->%d, g: %d->%d" % (a, b, b, c)
@@ -570,7 +592,7 @@ class Submodule:
             cols = []
             for b in src_basis:
                 w = [field.zero] * big.rows
-                for r, c in big.apply_column(field, [(k, x) for k, x in enumerate(b) if x]):
+                for r, c in big.apply_column(field, [(k, x) for k, x in enumerate(b) if x]).items():
                     w[r] = c
                 coords = span_coords(field, dst_basis, dst_pivots, w)
                 if coords is None:
@@ -597,7 +619,7 @@ def _apply_action(module, mor, vec, bits):
             w ^= cols[j]
             x &= x - 1
         return w
-    return dict(module.act(mor).apply_column(module.field, vec.items()))
+    return module.act(mor).apply_column(module.field, vec.items())
 
 
 def submodule_closure(parent, generators, max_rank=None, budget=None):
@@ -964,7 +986,7 @@ def shift_complex(module, q, variant="plain", budget=None):
             signs_lo, rep_lo = proj[(p - 1, n)]
             blocks_lo = blocks.get((p - 1, n))
             blocks_hi = blocks.get((p, n))
-            columns = []
+            starts, row_of, coef = array("i", [0]), array("i"), []
             for j, faces in enumerate(cat.precompose_each(reps, steps[p])):
                 if on_complement:
                     _, rank_h, j_h = blocks_hi[j]
@@ -979,11 +1001,16 @@ def shift_complex(module, q, variant="plain", budget=None):
                         block[0][r] = block[0].get(r, 0) + coeff
                         continue
                     off_t, _, j_t = blocks_lo[r]
-                    for acc, col in zip(block, module.act(cat.factor_through(j_t, j_h)).columns):
-                        for rr, x in col:
-                            acc[off_t + rr] = acc.get(off_t + rr, 0) + coeff * x
-                columns.extend(_reduced_column(field, acc) for acc in block)
-            diffs[(p, n)] = SparseMap(len(spaces[(p - 1, n)]), len(spaces[(p, n)]), columns)
+                    act = module.act(cat.factor_through(j_t, j_h))
+                    for acc, (a, b) in zip(block, pairwise(act.starts)):
+                        for k, rr in enumerate(act.row_of[a:b], a):
+                            acc[off_t + rr] = acc.get(off_t + rr, 0) + coeff * act.coef[k]
+                for acc in block:
+                    col = _reduced_column(field, acc)
+                    row_of.extend(col)
+                    coef.extend(col.values())
+                    starts.append(len(row_of))
+            diffs[(p, n)] = SparseMap.packed(len(spaces[(p - 1, n)]), starts, row_of, coef)
             if p >= 2 and not _composite_vanishes(field, diffs[(p - 1, n)], diffs[(p, n)]):
                 raise InvariantViolation("d o d != 0 at degree %d, rank %d (%s)" % (p, n, variant))
     return ShiftComplex(module, variant, route, q, spaces, diffs, proj, blocks)
@@ -1141,7 +1168,7 @@ def chain_homotopy_check(module, v_rank, budget=None):
             acc = d_above.accumulate({}, g_maps[p].column(j))
             if p >= 1:
                 g_maps[p - 1].accumulate(acc, cplx.diff(p, v_rank).column(j))
-            if dict(_reduced_column(field, acc)) != dict(stab_maps[p].column(j)):
+            if _reduced_column(field, acc) != dict(stab_maps[p].column(j)):
                 ok = False
                 break
         per_degree[p] = ok
@@ -1154,10 +1181,9 @@ def chain_homotopy_check(module, v_rank, budget=None):
         else:
             kernel = kernel_vectors(field, cplx.diff(i, v_rank).row_dicts(), dim_i)
             cycles = [[(t, x) for t, x in enumerate(z) if x] for z in kernel]
-        boundaries = SpanBuilder(
-            field, cplx.dim(i, v_rank + 1), (dict(col) for col in cplx.diff(i + 1, v_rank + 1).columns)
-        )
-        induced[i] = all(boundaries.contains(dict(stab_maps[i].apply_column(field, z))) for z in cycles)
+        d_above = cplx.diff(i + 1, v_rank + 1)
+        boundaries = SpanBuilder(field, d_above.rows, (dict(d_above.column(j)) for j in range(d_above.cols)))
+        induced[i] = all(boundaries.contains(stab_maps[i].apply_column(field, z)) for z in cycles)
 
     return {
         "cat": cat.describe(),

@@ -167,12 +167,6 @@ class FiniteRing:
             x += d * s
         return x
 
-    def element_tuple(self, x):
-        """Element index -> per-factor residue tuple."""
-        if len(self.moduli) == 1:
-            return (x,)
-        return self._digits[x]
-
     def check_element(self, x):
         if not isinstance(x, int) or not (0 <= x < self.size):
             raise PreconditionError(

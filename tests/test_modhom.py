@@ -9,6 +9,7 @@ throughout.
 
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -28,6 +29,7 @@ from ficat.modhom import (
     SparseMap,
     Submodule,
     _composite_vanishes,
+    _integral,
     _orbit_tables,
     _shift_group,
     chain_homotopy_check,
@@ -274,6 +276,15 @@ def known_rank_columns(rng, field, rows, cols, rank):
     return out
 
 
+def sparse_from_entries(field, rows, cols, entries):
+    """A SparseMap from {(row, col): coefficient}, zeros dropped."""
+    columns = [[] for _ in range(cols)]
+    for (r, c), x in sorted(entries.items()):
+        if x != field.zero:
+            columns[c].append((r, x))
+    return SparseMap(rows, cols, columns)
+
+
 def sparse_from_columns(rows, columns):
     return SparseMap(rows, len(columns), [[(r, x) for r, x in enumerate(col) if x] for col in columns])
 
@@ -293,13 +304,13 @@ def test_sparse_map_roundtrip_and_rank():
                 for c in range(cols):
                     if rng.random() < 0.4:
                         entries[(r, c)] = field.of(rng.randrange(0, 3))
-            sm = SparseMap.from_entries(field, rows, cols, entries)
+            sm = sparse_from_entries(field, rows, cols, entries)
             dense = dense_rows(field, sm)
             for (r, c), v in entries.items():
                 assert dense[r][c] == v
             rank = sm.rank(field)
             assert rank == SpanBuilder(field, cols, dense).dim() == oracle_rank(field, dense, cols)
-    empty = SparseMap.from_entries(CoefField(0), 3, 0, {})
+    empty = sparse_from_entries(CoefField(0), 3, 0, {})
     assert empty.rank(CoefField(0)) == 0
     # maps of known rank: over F_2 past 64 rows and columns, so that the
     # packed columns and SpanBuilder's rows span several machine words; over
@@ -321,6 +332,71 @@ def test_sparse_map_roundtrip_and_rank():
             assert sparse_from_columns(rows, [[field.zero] * rows] * cols).rank(field) == 0
             col = [field.of(r % 3 + 1) for r in range(rows)]
             assert sparse_from_columns(rows, [col] * cols).rank(field) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 0])
+def test_packed_columns_agree_with_dense_oracles(p):
+    # the compressed columns round-trip their pair columns, and every reader
+    # of the arrays agrees with the dense matrix: accumulate and apply_column
+    # with the dense product, row_dicts with its rows, rank with SpanBuilder
+    # on its rows and on its columns
+    field = CoefField(p)
+    rng = random.Random(1400 + p)
+    coeffs = [field.zero, field.one, field.of(2), field.of(Fraction(-1, 3) if not p else -1)]
+    shapes = [(0, 0), (4, 0), (0, 4), (1, 1), (3, 5), (6, 2), (7, 7)]
+    for rows, cols in shapes + [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(12)]:
+        dense = [list(row) for row in random_matrix(rng, field, rows, cols)]
+        for j in rng.sample(range(cols), cols // 3):
+            for row in dense:
+                row[j] = field.zero
+        columns = tuple(tuple((r, dense[r][j]) for r in range(rows) if dense[r][j]) for j in range(cols))
+        sm = SparseMap(rows, cols, columns)
+        assert (sm.rows, sm.cols, len(sm.starts)) == (rows, cols, cols + 1)
+        assert len(sm.row_of) == len(sm.coef) == sum(map(len, columns))
+        assert sm.columns == columns == tuple(sm.column(j) for j in range(cols))
+        assert dense_rows(field, sm) == tuple(map(tuple, dense))
+        assert sm.row_dicts() == [{j: x for j, x in enumerate(row) if x} for row in dense]
+        assert sm.rank(field) == SpanBuilder(field, cols, dense).dim() == SpanBuilder(field, rows, zip(*dense)).dim()
+        for _ in range(4):
+            v = [rng.choice(coeffs) for _ in range(cols)]
+            pairs = [(j, x) for j, x in enumerate(v) if x]
+            want = dense_mat_vec(field, dense, v)
+            assert list(sm.apply_column(field, pairs).items()) == [(r, x) for r, x in enumerate(want) if x]
+            acc = sm.accumulate({r: 1 for r in range(rows)}, pairs)
+            assert set(acc) == set(range(rows))
+            assert [field.of(acc[r] - 1) for r in range(rows)] == list(want)
+        integral = _integral(field, sm)
+        if p:
+            assert integral is sm
+        else:
+            assert integral.starts is sm.starts and integral.row_of is sm.row_of
+            assert all(type(x) is int for x in integral.coef)
+            if sm.coef:
+                scale = Fraction(integral.coef[0]) / sm.coef[0]
+                assert scale > 0 and list(integral.coef) == [scale * x for x in sm.coef]
+
+
+def test_sparse_map_rejects_malformed_columns():
+    f3 = CoefField(3)
+    malformed = {  # (rows, cols, columns)
+        "row past the last": (2, 1, [[(5, 1)]]),
+        "row at the height": (2, 2, [[(0, 1)], [(2, 1)]]),
+        "negative row": (2, 1, [[(0, 1), (-1, 1)]]),
+        "stored zero": (2, 1, [[(0, 0)]]),
+        "stored rational zero": (2, 1, [[(1, Fraction(0))]]),
+        "repeated row": (2, 1, [[(1, 1), (1, 2)]]),
+        "falling rows": (3, 2, [[(0, 1)], [(2, 1), (1, 1)]]),
+        "a column more than declared": (2, 2, [[(0, 1)]] * 3),
+    }
+    for rows, cols, columns in malformed.values():
+        with pytest.raises(PreconditionError):
+            SparseMap(rows, cols, columns)
+    with pytest.raises(PreconditionError):
+        SparseMap.packed(2, array("i", [0, 2]), array("i", [1, 0]), [1, 1])
+    # rows may fall or repeat across a column boundary, and columns may be empty
+    ok = SparseMap(3, 5, [[(2, 1)], [], [(0, 1), (1, 2)], [(0, 2)], [(1, 1), (2, 2)]])
+    assert ok.rank(f3) == 3 and ok.row_dicts()[2] == {0: 1, 4: 2}
+    assert list(ok.starts) == [0, 1, 1, 3, 4, 6] and list(ok.row_of) == [2, 0, 1, 0, 1, 2]
 
 
 def _dict_with_zeros(rng, vec):
@@ -362,7 +438,7 @@ def test_kernel_vectors_from_sparse_rows():
             rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
             entries = {(r, c): field.of(rng.randrange(1, 3)) for r in range(rows) for c in range(cols)
                        if rng.random() < 0.4}
-            sm = SparseMap.from_entries(field, rows, cols, entries)
+            sm = sparse_from_entries(field, rows, cols, entries)
             dense = dense_rows(field, sm)
             ker = kernel_vectors(field, sm.row_dicts(), cols)
             assert ker == kernel_vectors(field, dense, cols)
@@ -403,13 +479,13 @@ def test_composite_vanishes_decides_on_integer_sums():
                     if rng.random() < 0.6:
                         x = rng.randrange(-4, 5)
                         entries[(r, c)] = field.of(x if field.p else Fraction(x, rng.choice((1, 2, 3, 5))))
-            outer = SparseMap.from_entries(field, rows, cols, entries)
+            outer = sparse_from_entries(field, rows, cols, entries)
             ker = [list(v) for v in kernel_vectors(field, outer.row_dicts(), cols)]
             if not ker:
                 continue
             if rng.random() < 0.5:
                 c = rng.randrange(cols)
-                ker[-1][c] = field.add(ker[-1][c], field.one)
+                ker[-1][c] = field.of(ker[-1][c] + 1)
             inner = SparseMap(cols, len(ker), [[(c, x) for c, x in enumerate(v) if x] for v in ker])
             dense = dense_rows(field, outer)
             want = all(x == field.zero for v in ker for x in dense_mat_vec(field, dense, v))
@@ -599,6 +675,23 @@ def test_rank_holds_only_pivots_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def test_shift_complex_retains_packed_columns():
+    # with its hom sets and position tables cached, rebuilding the VIC(Z/2)
+    # N = 4, q = 3 complex keeps only the complex: 68,207 nonzeros at one array
+    # slot and one shared small int each, never a pair tuple per nonzero
+    module = representable(make_vic_category(make_ring("Z/2")), 0, 4, CoefField(2))
+    shift_complex(module, 3)
+    tracemalloc.start()
+    try:
+        cx = shift_complex(module, 3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 3_000_000
+    assert peak < 3_000_000
+    assert all(type(d.starts) is type(d.row_of) is array for d in cx.diffs.values())
 
 
 def test_homology_base_cases_and_report_envelope():
@@ -1041,7 +1134,7 @@ def test_init_module_positions_match_a_sampling_oracle():
                 v = [field.zero] * P1o.dims[n]
                 for c, row in zip(combo, rows):
                     if c:
-                        v = [field.add(x, y) for x, y in zip(v, row)]
+                        v = [field.of(x + y) for x, y in zip(v, row)]
                 pos = init_positions(P1o, n, tuple(v))
                 if pos is not None:
                     seen.add(pos)

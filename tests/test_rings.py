@@ -79,13 +79,25 @@ def test_product_matches_crt_isomorphism():
     assert found is not None
 
 
+def residue_digits(ring, x):
+    """Element index -> per-factor residues, first factor most significant."""
+    digits = []
+    for n in reversed(ring.moduli):
+        x, d = divmod(x, n)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
 def test_mixed_radix_encoding_first_factor_most_significant():
     ring = make_ring("Z/2 x Z/3")
     # index = a*3 + b for (a, b) in Z/2 x Z/3
-    assert ring.element_tuple(0) == (0, 0)
-    assert ring.element_tuple(1) == (0, 1)
-    assert ring.element_tuple(3) == (1, 0)
-    assert ring.element_tuple(5) == (1, 2)
+    assert residue_digits(ring, 0) == (0, 0)
+    assert residue_digits(ring, 1) == (0, 1)
+    assert residue_digits(ring, 3) == (1, 0)
+    assert residue_digits(ring, 5) == (1, 2)
+    for x in range(ring.size):
+        assert ring.encode(residue_digits(ring, x)) == x
+        assert residue_digits(ring, x) == tuple(res[x] for res in ring.residues)
     assert ring.encode((1, 2)) == 5
     assert ring.one == ring.encode((1, 1)) == 4
 

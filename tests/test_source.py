@@ -1,6 +1,7 @@
 """Source guards: the package keeps its checks under python -O, carries
-no definition that nothing uses, leaves the garbage collector alone, and
-indexes hom sets through Category.position only."""
+no definition that nothing uses, leaves the garbage collector alone,
+indexes hom sets through Category.position only, and reads sparse maps
+as packed arrays."""
 
 import ast
 import re
@@ -43,26 +44,48 @@ def test_no_module_imports_gc():
     assert not found, found
 
 
-def test_only_category_position_indexes_keys():
-    # one key -> position dict per hom set, cached by the category: no other
-    # dict comprehension may be keyed by a .key(...) call
-    found = []
+def scoped_nodes():
+    """(file name, node, names of the enclosing classes and functions) for
+    every AST node of the package."""
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
-        if (
-            isinstance(node, ast.DictComp)
-            and isinstance(node.key, ast.Call)
-            and getattr(node.key.func, "attr", None) == "key"
-            and scope != ("Category", "position")
-        ):
-            found.append("%s:%d" % (path.name, node.lineno))
+        yield node, scope
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            yield from visit(child, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), ())
+        for node, scope in visit(ast.parse(path.read_text(), filename=str(path)), ()):
+            yield path.name, node, scope
+
+
+def test_only_category_position_indexes_keys():
+    # one key -> position dict per hom set, cached by the category: no other
+    # dict comprehension may be keyed by a .key(...) call
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, node, scope in scoped_nodes()
+        if isinstance(node, ast.DictComp)
+        and isinstance(node.key, ast.Call)
+        and getattr(node.key.func, "attr", None) == "key"
+        and scope != ("Category", "position")
+    ]
+    assert not found, found
+
+
+def test_package_reads_sparse_maps_as_packed_arrays():
+    # SparseMap keeps compressed columns (starts, row_of, coef); its columns
+    # property builds pair tuples for reading by hand, so the package itself
+    # reads the arrays and never .columns
+    found = [
+        "%s:%d %s" % (name, node.lineno, ".".join(scope))
+        for name, node, scope in scoped_nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr == "columns"
+        and isinstance(node.ctx, ast.Load)
+        and scope != ("SparseMap", "columns")
+    ]
     assert not found, found
 
 
