@@ -7,13 +7,15 @@ column vectors.
 Over a local ring Z/p^k a square matrix is invertible exactly when its
 reduction mod p is, so one reduced echelon form with unit pivots
 (_local_rref) decides every local question: inverses, surjectivity, kernels
-and the factorization of surjections all read it off, per local factor of
-the ring, and the results are recombined by CRT.  Every local factor is Z/q
-with its elements the residues 0..q-1, so the echelon does its arithmetic on
-those integers mod q.  Products and determinants split the ring into its
-moduli too: each entry of a product is summed as an integer on the residues
-of one modulus and reduced once, and determinants need no pivoting: integer
-Bareiss elimination on each modulus, reduced at the end.
+and the factorization of surjections all read it off.  local_parts splits a
+matrix into its images in the local factors of the ring and lift_mats
+recombines one matrix per factor by CRT; no other code moves a matrix into
+or out of the factors.  Every local factor is Z/q with its elements the
+residues 0..q-1, so the echelon does its arithmetic on those integers mod q.
+Products and determinants split the ring into its moduli instead: each entry
+of a product is summed as an integer on the residues of one modulus and
+reduced once, and determinants need no pivoting: integer Bareiss elimination
+on each modulus, reduced at the end.
 """
 
 from itertools import chain, product as iproduct
@@ -350,22 +352,24 @@ def det(m):
     ))
 
 
-# ----- per-local-factor plumbing -----
+# ----- local factors -----
 
-def project_mat(m, i):
-    """Image of m in the i-th local factor of its ring; m itself when the
-    ring is local."""
+def local_parts(m):
+    """The images of m in the local factors of its ring, in factor order;
+    (m,) when the ring is local."""
     ring = m.ring
     dec = ring.local
     if dec.factors[0] is ring:
-        return m
-    proj = dec._proj[i]
-    return Mat(dec.factors[i], m.rows, m.cols, tuple(proj[x] for x in m.data))
+        return (m,)
+    return tuple(
+        Mat(fac, m.rows, m.cols, tuple(proj[x] for x in m.data))
+        for fac, proj in zip(dec.factors, dec._proj)
+    )
 
 
 def lift_mats(ring, mats):
-    """CRT-recombine one matrix per local factor of ring; the one matrix
-    itself when the ring is local."""
+    """CRT-recombine one matrix per local factor of ring, the inverse of
+    local_parts; the one matrix itself when the ring is local."""
     dec = ring.local
     if len(mats) != len(dec.factors):
         raise PreconditionError("need one matrix per local factor of %s" % ring.spec)
@@ -374,10 +378,7 @@ def lift_mats(ring, mats):
     rows, cols = mats[0].rows, mats[0].cols
     if any(m.rows != rows or m.cols != cols for m in mats):
         raise PreconditionError("local factor matrices differ in shape")
-    data = tuple(
-        dec.lift(tuple(m.data[k] for m in mats)) for k in range(rows * cols)
-    )
-    return Mat(ring, rows, cols, data)
+    return Mat(ring, rows, cols, tuple(map(dec.lift, zip(*(m.data for m in mats)))))
 
 
 def _local_rref(m):
@@ -431,10 +432,9 @@ def try_inverse(m):
         raise PreconditionError("inverse of a non-square matrix")
     if m.rows == 0:
         return Mat(m.ring, 0, 0, ())
-    dec = m.ring.local
     locs = []
-    for i in range(len(dec.factors)):
-        inv = _local_inverse(project_mat(m, i))
+    for part in local_parts(m):
+        inv = _local_inverse(part)
         if inv is None:
             return None
         locs.append(inv)
@@ -462,13 +462,12 @@ def is_surjective(m):
     """
     if m.rows > m.cols:
         return False
-    return all(
-        len(_local_rref(project_mat(m, i))[0]) == m.rows for i in range(len(m.ring.local.factors))
-    )
+    return all(len(_local_rref(part)[0]) == m.rows for part in local_parts(m))
 
 
 def _local_kernel(m):
-    """Kernel basis columns for a surjective d x n matrix over a local ring."""
+    """Kernel basis of a surjective d x n matrix over a local ring, as an
+    n x (n-d) matrix of columns."""
     d, n = m.rows, m.cols
     pivots, rows = _local_rref(m)
     if len(pivots) != d:
@@ -482,8 +481,8 @@ def _local_kernel(m):
         v[c] = R.one
         for i, p in enumerate(pivots):
             v[p] = R.neg(rows[i][c])
-        basis.append(tuple(v))
-    return basis  # list of length-n column tuples
+        basis.append(v)
+    return Mat(R, n, len(free), tuple(chain.from_iterable(zip(*basis))))
 
 
 def kernel_basis(m):
@@ -492,17 +491,7 @@ def kernel_basis(m):
     Deterministic: per local factor, reduced echelon form with greedy unit
     pivots; one kernel vector per free column; CRT across factors.
     """
-    dec = m.ring.local
-    locals_ = [_local_kernel(project_mat(m, i)) for i in range(len(dec.factors))]
-    r = m.cols - m.rows
-    cols = []
-    for j in range(r):
-        col = tuple(
-            dec.lift(tuple(locals_[i][j][k] for i in range(len(dec.factors))))
-            for k in range(m.cols)
-        )
-        cols.append(col)
-    K = Mat.from_cols(m.ring, cols) if cols else Mat(m.ring, m.cols, 0, ())
+    K = lift_mats(m.ring, [_local_kernel(part) for part in local_parts(m)])
     prod = m.mul(K)
     if any(x != m.ring.zero for x in prod.data):
         raise InvariantViolation("kernel basis does not annihilate the matrix")
@@ -570,10 +559,9 @@ def _local_adapted(m):
 
 def column_adapted(m):
     """ColumnProfile of m when m is column-adapted in every local factor, else None."""
-    dec = m.ring.local
     profiles = []
-    for i in range(len(dec.factors)):
-        p = _local_adapted(project_mat(m, i))
+    for part in local_parts(m):
+        p = _local_adapted(part)
         if p is None:
             return None
         profiles.append(p)
@@ -598,8 +586,7 @@ def factor_surjection(m):
     """
     d, n = m.rows, m.cols
     f1s, f2s = [], []
-    for i in range(len(m.ring.local.factors)):
-        mi = project_mat(m, i)
+    for mi in local_parts(m):
         pivots, rows = _local_rref(mi)
         if len(pivots) != d:
             raise PreconditionError("factor_surjection requires a surjective matrix")

@@ -281,11 +281,14 @@ class SparseMap:
 
     def __init__(self, rows, cols, columns):
         starts, row_of, coef = array("i", [0]), array("i"), []
-        for col in columns:
-            for r, x in col:
-                row_of.append(r)
-                coef.append(x)
-            starts.append(len(row_of))
+        try:
+            for col in columns:
+                for r, x in col:
+                    row_of.append(r)
+                    coef.append(x)
+                starts.append(len(row_of))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise PreconditionError("sparse map columns must hold (int row, coefficient) pairs: %s" % exc) from None
         if len(starts) != cols + 1:
             raise PreconditionError("sparse map has %d columns, declared %d" % (len(starts) - 1, cols))
         self._adopt(rows, starts, row_of, coef)

@@ -2,15 +2,16 @@
 
 A ring spec is either "Z/n" (n >= 2) or a product "Z/n1 x Z/n2 x ..." with
 total size at most 4096.  Elements are integers 0..size-1; products are
-encoded in mixed radix with the first factor most significant.  Local
-structure (the decomposition into local factors) is discovered by exhaustive
-search for primitive idempotents and verified on the spot.
+encoded in mixed radix with the first factor most significant.  The local
+factors are read off the moduli: each prime power q exactly dividing a
+modulus gives a factor Z/q, split off by the idempotent that is 1 mod q and 0
+elsewhere (CRT).  That every element is recovered from its projections is
+checked on the spot.
 """
 
 import math
 import re
 from functools import lru_cache
-from itertools import product as iproduct
 
 from .errors import InvariantViolation, PreconditionError
 
@@ -243,11 +244,9 @@ class FiniteRing:
 
 
 class LocalDecomposition:
-    """R = R_1 x ... x R_k via primitive idempotents, factors canonically ordered.
-
-    Factors are ordered by (smallest prime divisor of size, size, spec), which
-    matches e.g. Z/6 -> [Z/2, Z/3] and Z/12 -> [Z/4, Z/3].
-    """
+    """R = R_1 x ... x R_k, one local factor Z/q per prime power q exactly
+    dividing a modulus of R, ordered by (prime, q, idempotent): e.g.
+    Z/6 -> [Z/2, Z/3] and Z/12 -> [Z/4, Z/3]."""
 
     __slots__ = ("ring", "idempotents", "factors", "_proj", "_lift_elem")
 
@@ -262,9 +261,6 @@ class LocalDecomposition:
         """Parent element -> tuple of factor elements."""
         return tuple(p[x] for p in self._proj)
 
-    def project_factor(self, x, i):
-        return self._proj[i][x]
-
     def lift(self, comps):
         """Tuple of factor elements -> parent element (CRT)."""
         ring = self.ring
@@ -275,68 +271,28 @@ class LocalDecomposition:
 
 
 def _compute_local(ring):
-    mul = ring.mul
-    add = ring.add
-    idem = [x for x in range(ring.size) if mul(x, x) == x]
-    prim = []
-    for e in idem:
-        if e == ring.zero:
-            continue
-        if any(mul(e2, e) == e2 for e2 in idem if e2 not in (ring.zero, e)):
-            continue
-        prim.append(e)
-    total = ring.zero
-    for e in prim:
-        total = add(total, e)
-    if total != ring.one:
-        raise InvariantViolation("primitive idempotents of %s do not sum to 1" % ring.spec)
-    for i, e in enumerate(prim):
-        for e2 in prim[i + 1:]:
-            if mul(e, e2) != ring.zero:
-                raise InvariantViolation("primitive idempotents of %s are not orthogonal" % ring.spec)
-
+    """One factor Z/q per prime power q exactly dividing a modulus n of the
+    ring: its idempotent e is 1 mod q and 0 mod n/q at that modulus and 0 at
+    every other, it projects x to its residue mod q and lifts t to t*e."""
+    strides = ring._strides or (1,)
     entries = []
-    for e in prim:
-        elems = {mul(e, x) for x in range(ring.size)}
-        s = len(elems)
-        factor = make_ring("Z/%d" % s)
-        # eR is generated additively by e; walk t*e for t = 0..s-1
-        log = {}
-        lift_elem = []
-        val = ring.zero
-        for t in range(s):
-            if val in log:
-                raise InvariantViolation(
-                    "idempotent %d of %s does not generate its factor additively" % (e, ring.spec)
-                )
-            log[val] = t
-            lift_elem.append(val)
-            val = add(val, e)
-        if val != ring.zero or set(lift_elem) != elems:
-            raise InvariantViolation(
-                "factor of %s at idempotent %d is not cyclic of order %d" % (ring.spec, e, s)
-            )
-        # multiplicative compatibility: (t*e)(u*e) = (t*u mod s)*e
-        if s <= 96:
-            pairs = iproduct(range(s), repeat=2)
-        else:
-            pairs = ((t, (t * 7 + 3) % s) for t in range(s))
-        for t, u in pairs:
-            if mul(lift_elem[t], lift_elem[u]) != lift_elem[(t * u) % s]:
-                raise InvariantViolation(
-                    "factor of %s at idempotent %d is not Z/%d multiplicatively" % (ring.spec, e, s)
-                )
-        proj = [log[mul(e, x)] for x in range(ring.size)]
-        entries.append((e, factor, proj, lift_elem))
-
-    entries.sort(key=lambda ent: (smallest_prime(ent[1].size), ent[1].size, ent[1].spec))
-    return LocalDecomposition(
-        ring,
-        tuple(ent[0] for ent in entries),
-        tuple(ent[1] for ent in entries),
-        tuple(ent[2] for ent in entries),
-        tuple(ent[3] for ent in entries),
-    )
+    for n, res, stride in zip(ring.moduli, ring.residues, strides):
+        rest = n
+        while rest > 1:
+            p = smallest_prime(rest)
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            e = (n // q) * pow(n // q, -1, q) % n  # the idempotent's residue mod n
+            lift = [t * e % n * stride for t in range(q)]
+            entries.append((p, q, e * stride, make_ring("Z/%d" % q), [x % q for x in res], lift))
+    entries.sort(key=lambda ent: ent[:3])
+    _, _, idempotents, factors, proj, lift_elem = zip(*entries)
+    dec = LocalDecomposition(ring, idempotents, factors, proj, lift_elem)
+    if any(dec.lift(dec.project(x)) != x for x in range(ring.size)):
+        raise InvariantViolation("local factors of %s do not recombine to the ring" % ring.spec)
+    return dec
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,8 @@ from .matrices import (
     inverse,
     kernel_basis,
     lift_mats,
+    local_parts,
     mul_rows_data,
-    project_mat,
     row_adapted,
     try_inverse,
 )
@@ -325,10 +325,7 @@ def si_hom_from(src_form, n, budget=None):
         return ()
     count = _si_hom_count(ring, d, n)
     charge(count, budget, "symplectic hom enumeration")
-    dec = ring.local
-    per_factor = []
-    for i, fac in enumerate(dec.factors):
-        per_factor.append(_local_symplectic_maps(fac, project_mat(src_form.gram, i), n, budget))
+    per_factor = [_local_symplectic_maps(g.ring, g, n, budget) for g in local_parts(src_form.gram)]
     dst = standard_form(ring, n)
     out = []
     for combo in iproduct(*per_factor):
@@ -484,12 +481,10 @@ class SiCategory(Category):
 def _standardize_symplectic_basis(ring, k, form):
     """Rewrite the columns of k so their Gram under form is the standard
     interleaved form, working one local factor at a time."""
-    dec = ring.local
-    fixed = []
-    for i, fac in enumerate(dec.factors):
-        cols = [project_mat(k, i).col(j) for j in range(k.cols)]
-        omega = project_mat(form.gram, i)
-        fixed.append(_local_symplectic_gs(fac, cols, omega))
+    fixed = [
+        _local_symplectic_gs(k_i.ring, [k_i.col(j) for j in range(k.cols)], omega)
+        for k_i, omega in zip(local_parts(k), local_parts(form.gram))
+    ]
     out = lift_mats(ring, fixed)
     r = k.cols // 2
     if out.transpose().mul(form.gram.mul(out)) != standard_form(ring, r).gram:

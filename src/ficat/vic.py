@@ -65,9 +65,6 @@ class UnitSubgroup:
     def is_full(self):
         return len(self.elements) == len(self.ring.units())
 
-    def contains(self, x):
-        return x in self.elements
-
     def __contains__(self, x):
         return x in self.elements
 
@@ -419,7 +416,7 @@ class VicCategory(Category):
         self.units = units if isinstance(units, UnitSubgroup) else UnitSubgroup(ring, units)
         if self.units.ring != ring:
             raise PreconditionError("unit subgroup is over a different ring")
-        self.is_symmetric = self.units.contains(ring.neg_one)
+        self.is_symmetric = ring.neg_one in self.units
 
     def describe(self):
         if self.units.is_full:

@@ -33,7 +33,7 @@ speaks the 1-based language of pivot-set reports.
 from collections import namedtuple
 
 from .errors import PreconditionError, InvariantViolation, charge
-from .matrices import Mat, lift_mats, project_mat, row_adapted
+from .matrices import Mat, lift_mats, local_parts, row_adapted
 from .vic import OvicMorphism
 from .si import SiMorphism, standard_form
 
@@ -122,8 +122,7 @@ def ovic_words(mor):
 def _ovic_words(mor):
     n = mor.dst
     out = []
-    for i, pivots in enumerate(mor.profile.per_factor):
-        f_i, fp_i = project_mat(mor.f, i), project_mat(mor.fp, i)
+    for pivots, f_i, fp_i in zip(mor.profile.per_factor, local_parts(mor.f), local_parts(mor.fp)):
         pivots = set(pivots)
         word = tuple(
             SPADE if t in pivots else (f_i.row(t), fp_i.col(t)) for t in range(n)
@@ -142,8 +141,7 @@ def _osi_words(mor):
     profile = _osi_profile(mor)
     n = mor.dst
     out = []
-    for i, pivots in enumerate(profile.per_factor):
-        f_i = project_mat(mor.f, i)
+    for pivots, f_i in zip(profile.per_factor, local_parts(mor.f)):
         pivots = set(pivots)
         word = []
         for t in range(n):
@@ -357,17 +355,16 @@ def ovic_phi_for(f, g, budget=None):
     words_f = ovic_words(f)
     words_g = ovic_words(g)
     phis, phips = [], []
-    for i, fac in enumerate(ring.local.factors):
-        path = _word_chain_path(words_f[i], words_g[i], budget)
+    for word, word_g, f_cur, fp_cur in zip(words_f, words_g, local_parts(f.f), local_parts(f.fp)):
+        path = _word_chain_path(word, word_g, budget)
         if path is None:
             raise PreconditionError("morphisms are not related by the insertion order")
-        f_cur, fp_cur = project_mat(f.f, i), project_mat(f.fp, i)
-        word = words_f[i]
+        fac = f_cur.ring
         phi_total = Mat.identity(fac, nf)
         phip_total = Mat.identity(fac, nf)
         # path[t] deletes a position from the (t+1)-st word counted from g;
         # replaying upward applies the insertions in reverse order.
-        uppers = [words_g[i]]
+        uppers = [word_g]
         for j in path[:-1]:
             w = uppers[-1]
             uppers.append(w[:j] + w[j + 1 :])
@@ -420,8 +417,7 @@ def ovic_total_key(mor):
 def _ovic_total_key(mor):
     n = mor.dst
     stages = []
-    for i, pivots in enumerate(mor.profile.per_factor):
-        f_i, fp_i = project_mat(mor.f, i), project_mat(mor.fp, i)
+    for pivots, f_i, fp_i in zip(mor.profile.per_factor, local_parts(mor.f), local_parts(mor.fp)):
         cols = tuple(fp_i.col(t) for t in range(n))
         free = tuple(f_i.row(t) for t in range(n) if t not in set(pivots))
         stages.append((pivots, cols, free))
@@ -442,8 +438,7 @@ def osi_total_key(mor):
 def _osi_total_key(mor):
     profile = _osi_profile(mor)
     stages = []
-    for i, pivots in enumerate(profile.per_factor):
-        f_i = project_mat(mor.f, i)
+    for pivots, f_i in zip(profile.per_factor, local_parts(mor.f)):
         rows = tuple(f_i.row(r) for r in range(f_i.rows))
         stages.append((pivots, rows))
     return (mor.dst, tuple(stages))
@@ -520,9 +515,10 @@ def osi_insertion_phi(f, g):
     words_f = osi_words(f)
     words_g = osi_words(g)
     mats = []
-    for i, fac in enumerate(ring.local.factors):
-        f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
-        subset = _greedy_unmatched(words_f[i], words_g[i])
+    parts = zip(profile_f.per_factor, words_f, words_g, local_parts(f.f), local_parts(g.f))
+    for pivots_f, word_f, word_g, f_i, g_i in parts:
+        fac = f_i.ring
+        subset = _greedy_unmatched(word_f, word_g)
         if subset is None:
             raise PreconditionError("morphisms are not related by pair deletion")
         deleted = set()
@@ -532,7 +528,6 @@ def osi_insertion_phi(f, g):
             raise InvariantViolation("pair word embedding does not match the matrices")
         kept = [r for r in range(2 * g.dst) if r not in deleted]
         kept_pos = {r: k for k, r in enumerate(kept)}
-        pivots_f = profile_f.per_factor[i]
         rows = []
         for r in range(2 * g.dst):
             if r in deleted:

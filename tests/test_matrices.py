@@ -24,11 +24,12 @@ from ficat.matrices import (
     is_surjective,
     _selection,
     kernel_basis,
+    lift_mats,
     mul_cols_by,
     mul_cols_data,
     mul_rows_by,
+    local_parts,
     mul_rows_data,
-    project_mat,
     row_adapted,
     try_inverse,
 )
@@ -66,7 +67,7 @@ def minor_factor(m):
     d = m.rows
     f1s, f2s = [], []
     for i, fac in enumerate(dec.factors):
-        mi = Mat(fac, d, m.cols, tuple(dec.project_factor(x, i) for x in m.data))
+        mi = Mat(fac, d, m.cols, tuple(dec.project(x)[i] for x in m.data))
         cols = next((c for c in combinations(range(m.cols), d)
                      if fac.is_unit(perm_det(mi.submatrix(range(d), c)))), None)
         if cols is None:
@@ -184,6 +185,30 @@ def test_inverse_crt_ring():
         inverse(m)
 
 
+def test_local_parts_and_lift_mats_are_inverse():
+    # local_parts projects entry by entry through the ring's decomposition,
+    # and lift_mats recombines the parts by CRT
+    rng = random.Random(15)
+    for spec in ["Z/4", "Z/6", "Z/12", "Z/60", "Z/2 x Z/3", "Z/2 x Z/2 x Z/2", "Z/12 x Z/18"]:
+        ring = make_ring(spec)
+        dec = ring.local
+        for rows, cols in [(0, 0), (0, 2), (2, 0), (1, 3), (3, 2)]:
+            m = Mat(ring, rows, cols, tuple(rng.randrange(ring.size) for _ in range(rows * cols)))
+            parts = local_parts(m)
+            assert [p.ring for p in parts] == list(dec.factors)
+            for i, p in enumerate(parts):
+                assert (p.rows, p.cols) == (rows, cols)
+                assert p.data == tuple(dec.project(x)[i] for x in m.data)
+            assert lift_mats(ring, parts) == m
+            assert parts[0] is m or not ring.is_local
+    with pytest.raises(PreconditionError):
+        lift_mats(make_ring("Z/6"), [Mat.identity(make_ring("Z/2"), 1)])
+    # a kernel with no columns keeps its n rows
+    for spec in ["Z/4", "Z/6"]:
+        K = kernel_basis(Mat.identity(make_ring(spec), 2))
+        assert (K.rows, K.cols) == (2, 0)
+
+
 def test_is_surjective_examples():
     z4 = make_ring("Z/4")
     assert is_surjective(Mat.from_rows(z4, [[2, 3]]))
@@ -276,7 +301,7 @@ def test_column_adapted_brute_consistency():
         ring = make_ring(spec)
         rows, cols = shape
         for m in all_mats(ring, rows, cols):
-            brute = [brute_adapted(project_mat(m, i)) for i in range(len(ring.local.factors))]
+            brute = [brute_adapted(part) for part in local_parts(m)]
             p = column_adapted(m)
             if not all(brute):
                 assert p is None, m

@@ -387,6 +387,9 @@ def test_sparse_map_rejects_malformed_columns():
         "repeated row": (2, 1, [[(1, 1), (1, 2)]]),
         "falling rows": (3, 2, [[(0, 1)], [(2, 1), (1, 1)]]),
         "a column more than declared": (2, 2, [[(0, 1)]] * 3),
+        "row past a machine int": (3, 1, [[(2**40, 1)]]),
+        "fractional row": (3, 1, [[(0.5, 1)]]),
+        "entry that is not a pair": (3, 1, [[(1,)]]),
     }
     for rows, cols, columns in malformed.values():
         with pytest.raises(PreconditionError):

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from ficat.errors import PreconditionError
+from ficat.errors import InvariantViolation, PreconditionError
 from ficat.rings import FiniteRing, make_ring, prime_power, smallest_prime
 
 
@@ -157,6 +157,62 @@ def test_local_idempotents_oracle_z6():
     # factor at 3 has size 2 (3*Z/6 = {0,3}), factor at 4 has size 3
     sizes = {e: len({(e * x) % 6 for x in range(6)}) for e in (3, 4)}
     assert sizes == {3: 2, 4: 3}
+
+
+def search_decomposition(ring):
+    """The local decomposition by exhaustive search, independent of the
+    moduli: the primitive idempotents e (no nonzero idempotent strictly
+    below e), each factor eR walked additively as t*e, ordered stably by
+    (smallest prime of |eR|, |eR|, spec) over increasing e.  Returns
+    (spec, e, projection list, lift list) per factor."""
+    mul, add, zero = ring.mul, ring.add, ring.zero
+    idem = [x for x in range(ring.size) if mul(x, x) == x]
+    prim = [e for e in idem if e != zero and not any(mul(f, e) == f for f in idem if f not in (zero, e))]
+    total = zero
+    for e in prim:
+        total = add(total, e)
+    assert total == ring.one
+    assert all(mul(e, f) == zero for e, f in itertools.combinations(prim, 2))
+    entries = []
+    for e in prim:
+        elems = {mul(e, x) for x in range(ring.size)}
+        s = len(elems)
+        lift = [zero]
+        for _ in range(s - 1):
+            lift.append(add(lift[-1], e))
+        assert add(lift[-1], e) == zero and set(lift) == elems
+        # eR is Z/s as a ring: (t*e)(u*e) = (t*u mod s)*e
+        pairs = itertools.product(range(s), repeat=2) if s <= 96 else ((t, (t * 7 + 3) % s) for t in range(s))
+        assert all(mul(lift[t], lift[u]) == lift[t * u % s] for t, u in pairs)
+        log = {v: t for t, v in enumerate(lift)}
+        entries.append(("Z/%d" % s, e, [log[mul(e, x)] for x in range(ring.size)], lift))
+    entries.sort(key=lambda ent: (smallest_prime(len(ent[3])), len(ent[3]), ent[0]))
+    return entries
+
+
+@pytest.mark.parametrize("specs", [
+    ["Z/%d" % n for n in range(2, 400)],
+    ["Z/2 x Z/2", "Z/2 x Z/2 x Z/2", "Z/4 x Z/2 x Z/2", "Z/9 x Z/9", "Z/12 x Z/18", "Z/60 x Z/6"],
+], ids=["cyclic", "equal_size_factors"])
+def test_local_decomposition_matches_idempotent_search(specs):
+    # the factors read off the moduli agree with the search in order (ties
+    # included), idempotents, projections and lifts
+    for spec in specs:
+        dec = make_ring(spec).local
+        want = search_decomposition(make_ring(spec))
+        assert [f.spec for f in dec.factors] == [ent[0] for ent in want], spec
+        assert list(dec.idempotents) == [ent[1] for ent in want], spec
+        assert [list(p) for p in dec._proj] == [ent[2] for ent in want], spec
+        assert [list(l) for l in dec._lift_elem] == [ent[3] for ent in want], spec
+
+
+def test_local_decomposition_checks_its_roundtrip():
+    # a residue table that disagrees with the ring's arithmetic makes lift
+    # after projection miss an element
+    z6 = FiniteRing((6,))
+    z6.residues = ((0, 1, 2, 3, 5, 4),)
+    with pytest.raises(InvariantViolation):
+        z6.local
 
 
 def test_local_projection_roundtrip():

@@ -1,7 +1,7 @@
 """Source guards: the package keeps its checks under python -O, carries
 no definition that nothing uses, leaves the garbage collector alone,
-indexes hom sets through Category.position only, and reads sparse maps
-as packed arrays."""
+indexes hom sets through Category.position only, reads sparse maps as
+packed arrays, and walks local factors through local_parts only."""
 
 import ast
 import re
@@ -85,6 +85,27 @@ def test_package_reads_sparse_maps_as_packed_arrays():
         and node.attr == "columns"
         and isinstance(node.ctx, ast.Load)
         and scope != ("SparseMap", "columns")
+    ]
+    assert not found, found
+
+
+def test_only_rings_indexes_local_factors():
+    # matrices pass through local_parts and lift_mats; outside rings.py no
+    # loop counts its way along a decomposition's factors
+    def factors_of(node):
+        return isinstance(node, ast.Attribute) and node.attr == "factors"
+
+    def called(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name and node.args
+
+    found = [
+        "%s:%d %s" % (name, node.lineno, ".".join(scope))
+        for name, node, scope in scoped_nodes()
+        if name != "rings.py"
+        and (
+            (called(node, "enumerate") and factors_of(node.args[0]))
+            or (called(node, "range") and called(node.args[0], "len") and factors_of(node.args[0].args[0]))
+        )
     ]
     assert not found, found
 

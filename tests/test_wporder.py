@@ -8,7 +8,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from ficat.errors import BudgetExceeded, PreconditionError
-from ficat.matrices import Mat, lift_mats, project_mat, row_adapted
+from ficat.matrices import Mat, lift_mats, local_parts, row_adapted
 from ficat.rings import make_ring
 from ficat.si import SiMorphism, make_osi_category, make_si_category, osi_prime_hom, si_hom_from, standard_form, symplectic_forms
 from ficat.vic import OvicMorphism, make_ovic_category, ovic_hom_enumerate
@@ -119,8 +119,7 @@ def osi_preceq_subsets(f, g):
     some set of pivot-free coordinate pairs of g deletes down to f."""
     if f.dst > g.dst:
         return False
-    for i, pivots in enumerate(row_adapted(g.f).per_factor):
-        f_i, g_i = project_mat(f.f, i), project_mat(g.f, i)
+    for pivots, f_i, g_i in zip(row_adapted(g.f).per_factor, local_parts(f.f), local_parts(g.f)):
         free = [t for t in range(g.dst) if 2 * t not in pivots and 2 * t + 1 not in pivots]
         if not any(
             g_i.delete_rows([r for t in pairs for r in (2 * t, 2 * t + 1)]) == f_i
@@ -497,7 +496,7 @@ def test_osi_product_ring():
     # factors must delete different pairs
     rows3 = [[1, 0], [0, 1], [1, 0], [0, 0], [0, 0], [0, 0]]
     g3 = Mat.from_rows(make_ring("Z/3"), rows3)
-    g_mat = lift_mats(R6, [project_mat(g2.f, 0), g3])
+    g_mat = lift_mats(R6, [local_parts(g2.f)[0], g3])
     g = SiMorphism(g_mat, standard_form(R6, 1), standard_form(R6, 3), check=True)
     assert row_adapted(g.f) is not None
     assert osi_preceq(f, g) is True
