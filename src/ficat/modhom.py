@@ -31,7 +31,8 @@ representable, taken as a submodule, cross-checks the two routes.  The faces
 are read as keys (Category.precompose_each), with no morphism per face, and
 every sum of coefficients (a differential's entries, written straight into
 its arrays, its d o d check, the homotopy check) runs on raw integers or
-rationals and is reduced into the field once per entry.
+rationals and is reduced into the field once per entry; over F_2 the d o d
+check instead XORs columns packed as ints.
 """
 
 import math
@@ -401,7 +402,29 @@ def _integral(field, m):
 
 
 def _composite_vanishes(field, outer, inner):
-    """Whether outer . inner = 0, column by column, on integer sums."""
+    """Whether outer . inner = 0, column by column: over F_2 by XOR of
+    outer's columns packed as ints (bit r is row r), otherwise on integer
+    sums."""
+    if field.p == 2:
+        return _composite_bits_vanish(outer, inner)
+    return _composite_sums_vanish(field, outer, inner)
+
+
+def _composite_bits_vanish(outer, inner):
+    row_of, coef = outer.row_of, outer.coef
+    masks = [sum(1 << r for r, x in zip(row_of[a:b], coef[a:b]) if x & 1) for a, b in pairwise(outer.starts)]
+    row_of, coef = inner.row_of, inner.coef
+    for a, b in pairwise(inner.starts):
+        v = 0
+        for j, x in zip(row_of[a:b], coef[a:b]):
+            if x & 1:
+                v ^= masks[j]
+        if v:
+            return False
+    return True
+
+
+def _composite_sums_vanish(field, outer, inner):
     p = field.p
     outer, inner = _integral(field, outer), _integral(field, inner)
     row_of, coef = inner.row_of, inner.coef

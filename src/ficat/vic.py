@@ -336,12 +336,14 @@ def _complete_dependent(ring, fp, S, nonpiv, free_rows):
 
 
 def _ovic_local_list(ring, m, n):
-    """All OVIC morphism components (fp, f) over a local ring, unsorted."""
+    """All OVIC morphism components (fp, f) over a local ring, unsorted; one
+    Mat per distinct fp and per distinct f."""
     key = (ring.spec, m, n)
     got = _OVIC_LOCAL.get(key)
     if got is not None:
         return got
     out = []
+    fs = {}
     if m <= n:
         elems = range(ring.size)
         nonunits = ring.nonunits()
@@ -364,7 +366,7 @@ def _ovic_local_list(ring, m, n):
                 fp = Mat.from_cols(ring, fp_cols)
                 for free in iproduct(free_vecs, repeat=n - m):
                     f = _complete_dependent(ring, fp, S, nonpiv, free)
-                    out.append((fp, f))
+                    out.append((fp, fs.setdefault(f.data, f)))
     got = tuple(out)
     if len(got) != ovic_count_local(ring, m, n):
         raise InvariantViolation("OVIC(%s)(%d,%d) enumeration disagrees with its count" % (ring.spec, m, n))
@@ -373,14 +375,24 @@ def _ovic_local_list(ring, m, n):
 
 
 def ovic_hom_enumerate(ring, m, n, budget=None):
-    """All OVIC(R) morphisms from rank m to rank n, sorted canonically."""
+    """All OVIC(R) morphisms from rank m to rank n, sorted canonically; over
+    a product ring each distinct tuple of local parts is lifted once."""
     count = ovic_count(ring, m, n)
     charge(count, budget, "OVIC(%s) hom(%d,%d) enumeration" % (ring.spec, m, n))
     out = []
+    fps, fs = {}, {}  # tuple of local data -> lifted Mat
+
+    def lift(table, parts):
+        key = tuple(c.data for c in parts)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = lift_mats(ring, parts)
+        return got
+
     locs = [_ovic_local_list(rf, m, n) for rf in ring.local.factors]
     for combo in iproduct(*locs):
-        fp = lift_mats(ring, [c[0] for c in combo])
-        f = lift_mats(ring, [c[1] for c in combo])
+        fp = lift(fps, [c[0] for c in combo])
+        f = lift(fs, [c[1] for c in combo])
         out.append(OvicMorphism(f, fp, check=False))
     out.sort(key=lambda mor: (mor.f.data, mor.fp.data))
     return tuple(out)
@@ -396,12 +408,29 @@ def _split_products(gs, f):
     return zip(mul_rows_data([g.f for g in gs], f.f), mul_cols_data(f.fp, [g.fp for g in gs]))
 
 
-def _precompose_split(cls, gs, f):
-    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], from _split_products."""
+def _precompose_split(cls, gs, f, shared=None):
+    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], from _split_products.
+
+    shared, when given, is a pair of tables data -> Mat for the f and the fp
+    halves, kept by the caller across calls: a half whose data is in its
+    table is that Mat, and any other is built once and added.
+    """
     R, m = f.ring, f.src
     pairs = _split_products(gs, f)
     try:
-        return [cls(Mat(R, g.dst, m, a), Mat(R, m, g.dst, ap), check=False) for g, (a, ap) in zip(gs, pairs)]
+        if shared is None:
+            return [cls(Mat(R, g.dst, m, a), Mat(R, m, g.dst, ap), check=False) for g, (a, ap) in zip(gs, pairs)]
+        fs, fps = shared
+        out = []
+        for g, (a, ap) in zip(gs, pairs):
+            hf = fs.get(a)
+            if hf is None:
+                hf = fs[a] = Mat(R, g.dst, m, a)
+            hfp = fps.get(ap)
+            if hfp is None:
+                hfp = fps[ap] = Mat(R, m, g.dst, ap)
+            out.append(cls(hf, hfp, check=False))
+        return out
     except PreconditionError:
         raise InvariantViolation("composite of column-adapted morphisms lost adaptedness")
 
@@ -448,7 +477,8 @@ class VicCategory(Category):
             return out
         ovics = ovic_hom_enumerate(self.ring, m, n, budget=-1)
         auts = [VicMorphism(a, ainv, check=False) for a, ainv, _ in gl_pairs(self.ring, m, budget=-1)]
-        return [h for aut in auts for h in self.precompose(ovics, aut)]
+        shared = ({}, {})  # few distinct halves: every composite with equal data shares one Mat
+        return [h for aut in auts for h in _precompose_split(VicMorphism, ovics, aut, shared)]
 
     def identity(self, n):
         e = Mat.identity(self.ring, n)

@@ -28,6 +28,7 @@ from ficat.modhom import (
     VARIANTS,
     SparseMap,
     Submodule,
+    _composite_sums_vanish,
     _composite_vanishes,
     _integral,
     _orbit_tables,
@@ -495,6 +496,43 @@ def test_composite_vanishes_decides_on_integer_sums():
             assert _composite_vanishes(field, outer, inner) == want
             seen.add((field.p, want))
     assert seen == {(p, want) for p in (2, 3, 0) for want in (True, False)}
+
+
+def test_composite_vanishes_over_f2_on_parity():
+    """Over F_2 d o d = 0 is decided on the XOR of bit-packed columns: a
+    composite whose integer sums are even but nonzero vanishes, and one odd
+    sum is enough for it not to."""
+    f2 = CoefField(2)
+    outer = SparseMap(2, 3, [[(0, 1), (1, 1)], [(0, 1)], [(1, 1)]])
+    assert _composite_vanishes(f2, outer, SparseMap(3, 1, [[(0, 1), (1, 1), (2, 1)]]))
+    assert _composite_vanishes(f2, outer, SparseMap(3, 2, [[], [(0, 1), (1, 1), (2, 1)]]))
+    assert _composite_vanishes(f2, SparseMap(1, 2, [[(0, 1)], [(0, 1)]]), SparseMap(2, 1, [[(0, 1), (1, 1)]]))
+    assert not _composite_vanishes(f2, outer, SparseMap(3, 1, [[(0, 1), (1, 1)]]))
+    assert not _composite_vanishes(f2, outer, SparseMap(3, 2, [[(0, 1), (1, 1), (2, 1)], [(2, 1)]]))
+    assert not _composite_vanishes(f2, outer, SparseMap(3, 1, [[(0, 1)]]))
+
+
+@pytest.mark.parametrize("cat,top", [(make_vic_category(make_ring("Z/2")), 3), (FiCategory(), 5)], ids=["VIC(Z/2)", "FI"])
+def test_composite_vanishes_over_f2_agrees_with_integer_sums(cat, top):
+    # on every pair of consecutive differentials, and on the same pair with
+    # the last entry of one inner column dropped
+    f2 = CoefField(2)
+    cx = shift_complex(representable(cat, 0, top, f2), top)
+    seen = set()
+    for (p, n), inner in cx.diffs.items():
+        if p < 2:
+            continue
+        outer = cx.diffs[(p - 1, n)]
+        assert _composite_vanishes(f2, outer, inner) is _composite_sums_vanish(f2, outer, inner) is True
+        cols = list(inner.columns)
+        for j, col in enumerate(cols):
+            if col:
+                broken = SparseMap(inner.rows, inner.cols, cols[:j] + [col[:-1]] + cols[j + 1:])
+                want = _composite_sums_vanish(f2, outer, broken)
+                assert _composite_vanishes(f2, outer, broken) is want
+                seen.add(want)
+                break
+    assert False in seen
 
 
 def test_shift_complex_builds_no_morphism_per_face(monkeypatch):

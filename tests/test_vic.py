@@ -6,6 +6,7 @@ filtering for GL (with a Leibniz determinant), and composite-set counting for
 the category V.
 """
 
+import tracemalloc
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -17,6 +18,7 @@ from ficat.rings import make_ring
 from ficat.vic import (
     OvicMorphism,
     UnitSubgroup,
+    VicCategory,
     VicMorphism,
     gl_order,
     gl_pairs,
@@ -222,6 +224,55 @@ def test_vic_hom_counts_factorization_identity():
             assert vic.count_hom(m, n) == ovic_count(ring, m, n) * gl_order(ring, m)
     assert make_vic_category(Z4).count_hom(2, 3) == 43008
     assert make_vic_category(Z4).count_hom(1, 2) == 48
+
+
+@pytest.mark.parametrize(
+    "ring,units,top",
+    [(Z2, None, 4), (Z4, [1, 3], 2), (Z6, None, 2)],
+    ids=["Z/2", "Z/4,U={1,3}", "Z/6"],
+)
+def test_vic_hom_matches_generic_compose_of_its_factors(ring, units, top):
+    # every morphism is an OVIC morphism after an automorphism of the source:
+    # hom(m, n) is exactly the set of those composites, built one at a time
+    vic = make_vic_category(ring, units)
+    ovic = make_ovic_category(ring)
+    for n in range(top + 1):
+        for m in range(n + 1):
+            want = sorted(vic.key(vic.compose(o, a)) for a in vic.aut(m) for o in ovic.hom(m, n))
+            assert [vic.key(h) for h in vic.hom(m, n)] == want
+
+
+def test_hom_sets_build_each_distinct_matrix_once():
+    # a VIC hom set holds one f per split injection and one fp per surjection
+    for ring, m, n in ((Z2, 3, 4), (Z4, 1, 2)):
+        hom = VicCategory(ring).hom(m, n)
+        vi = vi_v_hom_counts(ring, m, n)[0]
+        assert len({id(h.f) for h in hom}) == len({h.f.data for h in hom}) == vi
+        assert len({id(h.fp) for h in hom}) == len({h.fp.data for h in hom}) == vi
+    assert vi == 12 and len(hom) == 48
+    # OVIC builds one matrix per distinct value over a local ring, and over a
+    # product ring lifts each distinct tuple of local parts once
+    for ring, m, n, count, fps, fs in ((Z2, 2, 4, 560, 35, 155), (Z6, 1, 3, 3276, 91, 175)):
+        hom = ovic_hom_enumerate(ring, m, n)
+        assert len(hom) == count
+        assert len({id(h.fp) for h in hom}) == len({h.fp.data for h in hom}) == fps
+        assert len({id(h.f) for h in hom}) == len({h.f.data for h in hom}) == fs
+
+
+def test_vic_hom_retains_shared_matrices():
+    # 20,160 morphisms share 2,520 f and 2,520 fp matrices: about 2.6 MB,
+    # against 9.4 MB for a new pair of matrices per morphism
+    gl_pairs(Z2, 3)
+    ovic_hom_enumerate(Z2, 3, 4)
+    vic = VicCategory(Z2)
+    tracemalloc.start()
+    try:
+        hom = vic.hom(3, 4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hom) == 20160
+    assert retained < 4_000_000
 
 
 def test_vic_aut_determinant_filter():
