@@ -342,23 +342,29 @@ class SparseMap:
                 rows[r][j] = x
         return rows
 
+    def bit_columns(self):
+        """Over F_2: the columns one at a time, each as an int with bit r set
+        for every stored row r (all stored coefficients are 1)."""
+        row_of = self.row_of
+        for a, b in pairwise(self.starts):
+            v = 0
+            for r in row_of[a:b]:
+                v |= 1 << r
+            yield v
+
     def rank(self, field):
         """The rank over field, by one pass over the stored columns.
 
         Each column is packed along the rows as it is read (over F_2 an int
-        with bit r set, otherwise {row: coefficient}) and reduced on the
+        from bit_columns, otherwise {row: coefficient}) and reduced on the
         pivots kept so far, each stored under its last nonzero row; a column
         left nonzero becomes a pivot.  Over F_p and Q a pivot is scaled to a
         unit at that row and kept without it, so every step removes the
         column's last entry.  Only the pivot vectors are held, never the rows.
         """
         pivots = {}
-        starts, row_of = self.starts, self.row_of
         if field.p == 2:
-            for a, b in pairwise(starts):
-                v = 0
-                for r in row_of[a:b]:
-                    v |= 1 << r
+            for v in self.bit_columns():
                 while v:
                     j = v.bit_length() - 1
                     if j not in pivots:
@@ -366,8 +372,8 @@ class SparseMap:
                         break
                     v ^= pivots[j]
             return len(pivots)
-        p = field.p
-        for a, b in pairwise(starts):
+        p, row_of = field.p, self.row_of
+        for a, b in pairwise(self.starts):
             v = dict(zip(row_of[a:b], self.coef[a:b]))
             while v:
                 j = max(v)
@@ -403,28 +409,17 @@ def _integral(field, m):
 
 def _composite_vanishes(field, outer, inner):
     """Whether outer . inner = 0, column by column: over F_2 by XOR of
-    outer's columns packed as ints (bit r is row r), otherwise on integer
-    sums."""
+    outer's columns packed as bits, otherwise on integer sums."""
     if field.p == 2:
-        return _composite_bits_vanish(outer, inner)
-    return _composite_sums_vanish(field, outer, inner)
-
-
-def _composite_bits_vanish(outer, inner):
-    row_of, coef = outer.row_of, outer.coef
-    masks = [sum(1 << r for r, x in zip(row_of[a:b], coef[a:b]) if x & 1) for a, b in pairwise(outer.starts)]
-    row_of, coef = inner.row_of, inner.coef
-    for a, b in pairwise(inner.starts):
-        v = 0
-        for j, x in zip(row_of[a:b], coef[a:b]):
-            if x & 1:
+        masks = list(outer.bit_columns())
+        row_of = inner.row_of
+        for a, b in pairwise(inner.starts):
+            v = 0
+            for j in row_of[a:b]:
                 v ^= masks[j]
-        if v:
-            return False
-    return True
-
-
-def _composite_sums_vanish(field, outer, inner):
+            if v:
+                return False
+        return True
     p = field.p
     outer, inner = _integral(field, outer), _integral(field, inner)
     row_of, coef = inner.row_of, inner.coef
@@ -492,8 +487,7 @@ class TruncatedModule:
         key = self.cat.key(mor)
         got = self._act_bits_cache.get(key)
         if got is None:
-            m = self.act(mor)
-            got = tuple(sum(1 << r for r in m.row_of[a:b]) for a, b in pairwise(m.starts))
+            got = tuple(self.act(mor).bit_columns())
             self._act_bits_cache[key] = got
         return got
 

@@ -380,10 +380,11 @@ def ovic_hom_enumerate(ring, m, n, budget=None):
     count = ovic_count(ring, m, n)
     charge(count, budget, "OVIC(%s) hom(%d,%d) enumeration" % (ring.spec, m, n))
     out = []
-    fps, fs = {}, {}  # tuple of local data -> lifted Mat
+    fps, fs = {}, {}  # ids of the local parts -> lifted Mat
 
     def lift(table, parts):
-        key = tuple(c.data for c in parts)
+        # the local lists hold one Mat per distinct value, so ids name values
+        key = tuple(map(id, parts))
         got = table.get(key)
         if got is None:
             got = table[key] = lift_mats(ring, parts)
@@ -408,20 +409,14 @@ def _split_products(gs, f):
     return zip(mul_rows_data([g.f for g in gs], f.f), mul_cols_data(f.fp, [g.fp for g in gs]))
 
 
-def _precompose_split(cls, gs, f, shared=None):
-    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], from _split_products.
-
-    shared, when given, is a pair of tables data -> Mat for the f and the fp
-    halves, kept by the caller across calls: a half whose data is in its
-    table is that Mat, and any other is built once and added.
-    """
+def _precompose_split(cls, gs, f, fs, fps):
+    """[cls(g.f * f.f, f.fp * g.fp) for g in gs], from _split_products, with
+    one Mat per distinct value: fs and fps map the data of the f and fp
+    halves built so far to their Mats, and each new half is added to them."""
     R, m = f.ring, f.src
     pairs = _split_products(gs, f)
+    out = []
     try:
-        if shared is None:
-            return [cls(Mat(R, g.dst, m, a), Mat(R, m, g.dst, ap), check=False) for g, (a, ap) in zip(gs, pairs)]
-        fs, fps = shared
-        out = []
         for g, (a, ap) in zip(gs, pairs):
             hf = fs.get(a)
             if hf is None:
@@ -430,9 +425,9 @@ def _precompose_split(cls, gs, f, shared=None):
             if hfp is None:
                 hfp = fps[ap] = Mat(R, m, g.dst, ap)
             out.append(cls(hf, hfp, check=False))
-        return out
     except PreconditionError:
         raise InvariantViolation("composite of column-adapted morphisms lost adaptedness")
+    return out
 
 
 class VicCategory(Category):
@@ -477,8 +472,8 @@ class VicCategory(Category):
             return out
         ovics = ovic_hom_enumerate(self.ring, m, n, budget=-1)
         auts = [VicMorphism(a, ainv, check=False) for a, ainv, _ in gl_pairs(self.ring, m, budget=-1)]
-        shared = ({}, {})  # few distinct halves: every composite with equal data shares one Mat
-        return [h for aut in auts for h in _precompose_split(VicMorphism, ovics, aut, shared)]
+        fs, fps = {}, {}  # few distinct halves: the whole hom set shares one Mat per value
+        return [h for aut in auts for h in _precompose_split(VicMorphism, ovics, aut, fs, fps)]
 
     def identity(self, n):
         e = Mat.identity(self.ring, n)
@@ -489,7 +484,7 @@ class VicCategory(Category):
         return VicMorphism(g.f.mul(f.f), f.fp.mul(g.fp), check=False)
 
     def precompose(self, gs, f):
-        return _precompose_split(VicMorphism, gs, f)
+        return _precompose_split(VicMorphism, gs, f, {}, {})
 
     def precompose_keys(self, gs, f):
         return [(f.src, g.dst, a, ap) for g, (a, ap) in zip(gs, _split_products(gs, f))]
@@ -618,7 +613,7 @@ class OvicCategory(Category):
             raise InvariantViolation("composite of column-adapted morphisms lost adaptedness")
 
     def precompose(self, gs, f):
-        return _precompose_split(OvicMorphism, gs, f)
+        return _precompose_split(OvicMorphism, gs, f, {}, {})
 
     def key(self, mor):
         return (mor.src, mor.dst, mor.f.data, mor.fp.data)
