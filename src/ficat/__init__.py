@@ -17,13 +17,15 @@ from .modhom import (
     homology_report,
     init_gap_check,
     init_module,
+    init_of,
     representable,
     shift_complex,
     submodule_closure,
 )
 from .rings import make_ring
 from .si import make_osi_category, make_si_category, standard_form
-from .vic import make_ovic_category, make_vic_category
+from .vic import make_ovic_category, make_vic_category, vic_factor
+from .wporder import ovic_insertion
 
 __all__ = [
     "BudgetExceeded",
@@ -41,13 +43,16 @@ __all__ = [
     "homology_report",
     "init_gap_check",
     "init_module",
+    "init_of",
     "make_osi_category",
     "make_ovic_category",
     "make_ring",
     "make_si_category",
     "make_vic_category",
+    "ovic_insertion",
     "representable",
     "shift_complex",
     "standard_form",
     "submodule_closure",
+    "vic_factor",
 ]

@@ -3,8 +3,8 @@
 Objects are ranks 0, 1, 2, ...; a category instance enumerates hom sets,
 composes morphisms, and (when it carries complements) provides the monoidal
 sum, canonical inclusions, block permutations, complement extraction and the
-related coherence data.  The axiom checker and the transitivity/counting
-report live here and are shared by the FI, VIC and SI instances.
+related coherence data.  The axiom checker lives here and is shared by the
+FI, VIC and SI instances.
 
 Composition convention throughout: compose(g, f) means "g after f", and
 precompose(gs, f) is [compose(g, f) for g in gs], which VIC, OVIC and SI batch.
@@ -81,6 +81,10 @@ class Category:
             self._hom_cache[(m, n)] = got
         return got
 
+    def count_hom(self, m, n):
+        """|hom(m, n)|, once both ranks are checked to be non-negative integers."""
+        return self._count_hom(nonneg_int(m, "object rank"), nonneg_int(n, "object rank"))
+
     def aut(self, n, budget=None):
         return self.hom(n, n, budget)
 
@@ -90,7 +94,7 @@ class Category:
             self._position_cache[(m, n)] = {self.key(f): i for i, f in enumerate(self.hom(m, n, budget))}
         return self._position_cache[(m, n)]
 
-    # subclasses: count_hom, _enumerate_hom, compose, identity, key, validate
+    # subclasses: _count_hom, _enumerate_hom, compose, identity, key, validate
 
     def precompose(self, gs, f):
         """[compose(g, f) for g in gs]."""
@@ -185,7 +189,7 @@ class FiCategory(Category):
     is_complemented = True
     is_symmetric = True
 
-    def count_hom(self, m, n):
+    def _count_hom(self, m, n):
         if m > n:
             return 0
         return math.perm(n, m)
@@ -355,6 +359,8 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
     its own status and counters.
     """
     nonneg_int(max_rank, "maximum rank")
+    nonneg_int(assoc_cap, "associativity cap")
+    nonneg_int(assoc_samples, "associativity sample count")
     checks = {}
     report = {"category": cat.describe(), "max_rank": max_rank, "checks": checks}
 
@@ -550,42 +556,3 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
 
     report["ok"] = all(c["status"] == "pass" for c in checks.values())
     return report
-
-
-def group_structure_report(cat, r, n, budget=None):
-    """Transitivity / stabilizer / counting report for Aut(X^n) acting on Hom(X^r, X^n).
-
-    Verifies |Hom(r,n)| * |Aut(n-r)| = |Aut(n)| (counted independently of the
-    orbit sweep) and that postcomposition by automorphisms is transitive with
-    stabilizer size |Aut(n)| / |Hom(r,n)|.
-    """
-    if not cat.is_complemented:
-        raise PreconditionError("group_structure_report requires a complemented category")
-    if r > n:
-        raise PreconditionError("need r <= n")
-    hom = cat.hom(r, n, budget)
-    auts = cat.aut(n, budget)
-    can = cat.canonical(r, n)
-    orbit = set()
-    stab = 0
-    can_key = cat.key(can)
-    for k, in cat.precompose_each(auts, [can]):
-        orbit.add(k)
-        if k == can_key:
-            stab += 1
-    transitive = orbit == cat.position(r, n, budget).keys()
-    aut_count = len(auts)
-    residual = cat.count_hom(n - r, n - r)
-    identity_holds = len(hom) * residual == aut_count
-    return {
-        "category": cat.describe(),
-        "r": r,
-        "n": n,
-        "hom": len(hom),
-        "aut": aut_count,
-        "aut_residual": residual,
-        "transitive": transitive,
-        "stabilizer": stab,
-        "orbit_stabilizer_ok": stab * len(hom) == aut_count,
-        "counting_identity": identity_holds,
-    }

@@ -18,10 +18,10 @@ reduced once, and determinants need no pivoting: integer Bareiss elimination
 on each modulus, reduced at the end.
 """
 
-from itertools import chain, product as iproduct
+from itertools import chain
 from operator import itemgetter
 
-from .errors import BudgetExceeded, InvariantViolation, PreconditionError, enumeration_budget
+from .errors import InvariantViolation, PreconditionError
 
 
 class Mat:
@@ -102,19 +102,6 @@ class Mat:
             part = _residue_product([res[x] for x in self.data], [res[x] for x in other.data], n, k, m, q)
             data = [y + s * x for y, x in zip(data, part)]
         return Mat(R, n, m, tuple(data))
-
-    def matvec(self, vec):
-        R = self.ring
-        radd, rmul, zero = R.add, R.mul, R.zero
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            row = self.row(i)
-            for x, v in zip(row, vec):
-                if x and v:
-                    acc = radd(acc, rmul(x, v))
-            out.append(acc)
-        return tuple(out)
 
     def add(self, other):
         if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
@@ -448,10 +435,6 @@ def inverse(m):
     return inv
 
 
-def is_invertible(m):
-    return m.rows == m.cols and try_inverse(m) is not None
-
-
 # ----- surjectivity, kernels -----
 
 def is_surjective(m):
@@ -510,12 +493,6 @@ class ColumnProfile:
 
     def __init__(self, per_factor):
         self.per_factor = tuple(tuple(p) for p in per_factor)
-
-    def single(self):
-        """The pivot tuple when the ring is local."""
-        if len(self.per_factor) != 1:
-            raise PreconditionError("single() requires a local ring profile")
-        return self.per_factor[0]
 
     def report(self):
         return [[j + 1 for j in p] for p in self.per_factor]
@@ -599,30 +576,4 @@ def factor_surjection(m):
     if column_adapted(f1) is None:
         raise InvariantViolation("adapted factor of a surjection is not column-adapted")
     return f1, f2
-
-
-# ----- misc -----
-
-def column_span_set(m, budget=None):
-    """The column span of m: every R-linear combination of its columns, as a set of tuples."""
-    R = m.ring
-    total = R.size ** m.cols
-    cap = enumeration_budget(budget)
-    if total > cap:
-        raise BudgetExceeded(
-            "column span enumeration needs %d vectors, budget is %d" % (total, cap),
-            required=total,
-        )
-    out = set()
-    cols = [m.col(j) for j in range(m.cols)]
-    radd, rmul, zero = R.add, R.mul, R.zero
-    for coeffs in iproduct(range(R.size), repeat=m.cols):
-        v = [zero] * m.rows
-        for c, col in zip(coeffs, cols):
-            if c:
-                for k in range(m.rows):
-                    if col[k]:
-                        v[k] = radd(v[k], rmul(c, col[k]))
-        out.add(tuple(v))
-    return out
 

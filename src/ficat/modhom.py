@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import compress, count, pairwise, permutations, product
 from operator import ge
 
-from .errors import InvariantViolation, PreconditionError, charge, nonneg_int
+from .errors import InvariantViolation, PreconditionError, nonneg_int
 from .wporder import order_of
 
 
@@ -522,53 +522,6 @@ def representable(cat, d, max_rank, field, budget=None):
         cat, field, max_rank, dims, act_fn,
         kind="representable", name="P%d" % d, gen_rank=d, labels=labels,
     )
-
-
-def zero_module(cat, max_rank, field):
-    """The zero module at every rank."""
-    field = coef_field(field)
-    dims = {n: 0 for n in range(max_rank + 1)}
-
-    def act_fn(mor):
-        return SparseMap(0, 0, ())
-
-    return TruncatedModule(cat, field, max_rank, dims, act_fn, kind="generic", name="0")
-
-
-def check_functoriality(module, up_to=None, budget=None):
-    """Exhaustively verify act(g . f) = act(g) act(f) and act(id) = I.
-
-    Returns the number of composable pairs checked; raises on any failure.
-    """
-    cat = module.cat
-    field = module.field
-    cap = module.max_rank if up_to is None else min(up_to, module.max_rank)
-    pairs = 0
-    for n in range(cap + 1):
-        if module.act(cat.identity(n)).row_dicts() != [{j: field.one} for j in range(module.dims[n])]:
-            raise InvariantViolation("act(identity(%d)) is not the identity matrix" % n)
-    for a in range(cap + 1):
-        for b in range(a, cap + 1):
-            homs_ab = cat.hom(a, b, budget=budget)
-            if not homs_ab:
-                continue
-            for c in range(b, cap + 1):
-                homs_bc = cat.hom(b, c, budget=budget)
-                charge(len(homs_ab) * len(homs_bc), budget, "functoriality pairs")
-                for f in homs_ab:
-                    act_f = module.act(f)
-                    for g in homs_bc:
-                        left = module.act(cat.compose(g, f))
-                        act_g = module.act(g)
-                        if any(
-                            dict(left.column(j)) != act_g.apply_column(field, act_f.column(j))
-                            for j in range(left.cols)
-                        ):
-                            raise InvariantViolation(
-                                "act(g . f) != act(g) act(f) for f: %d->%d, g: %d->%d" % (a, b, b, c)
-                            )
-                        pairs += 1
-    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -102,16 +102,6 @@ def symplectic_check(f, src, dst):
     return f.transpose().mul(dst.gram.mul(f)) == src.gram
 
 
-def symplectic_basis_check(basis, form):
-    """True when the columns b_1,...,b_{2n} of basis satisfy the standard
-    delta relations under form: w(b_{2i-1}, b_{2j}) = delta_ij and all other
-    pairings vanish."""
-    if basis.rows != form.dim or basis.cols != form.dim:
-        raise PreconditionError("basis must be square of the form's dimension")
-    std = standard_form(form.ring, form.pairs)
-    return basis.transpose().mul(form.gram.mul(basis)) == std.gram
-
-
 def perp(w, form):
     """A basis of the symplectic perpendicular of the submodule spanned by the
     columns of w, verified to complement it.
@@ -136,25 +126,6 @@ def perp(w, form):
     return k
 
 
-def symplectic_forms(ring, n, budget=None):
-    """All symplectic (alternating nondegenerate) forms on R^{2n}, by brute
-    force over the strictly upper triangle."""
-    nonneg_int(n, "pair rank")
-    dim = 2 * n
-    spots = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    charge(ring.size ** len(spots), budget, "symplectic form enumeration")
-    out = []
-    for vals in iproduct(range(ring.size), repeat=len(spots)):
-        rows = [[ring.zero] * dim for _ in range(dim)]
-        for (i, j), v in zip(spots, vals):
-            rows[i][j] = v
-            rows[j][i] = ring.neg(v)
-        gram = Mat.from_rows(ring, rows) if dim else Mat.zeros(ring, 0, 0)
-        if ring.is_unit(det(gram)):
-            out.append(SymplecticForm(gram))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # group orders
 # ---------------------------------------------------------------------------
@@ -166,16 +137,6 @@ def _sp_order_local(p, k, n):
     for i in range(1, n + 1):
         field *= p ** (2 * i) - 1
     return p ** ((k - 1) * (2 * n * n + n)) * field
-
-
-def sp_order(ring, n):
-    """|Sp_{2n}(R)|, multiplied over the local factors of R."""
-    nonneg_int(n, "pair rank")
-    total = 1
-    for fac in ring.local.factors:
-        p, k = prime_power(fac.size)
-        total *= _sp_order_local(p, k, n)
-    return total
 
 
 def _si_hom_count(ring, m, n):
@@ -372,7 +333,7 @@ class SiCategory(Category):
     def form(self, n):
         return standard_form(self.ring, n)
 
-    def count_hom(self, m, n):
+    def _count_hom(self, m, n):
         return _si_hom_count(self.ring, m, n)
 
     def _enumerate_hom(self, m, n):
@@ -606,7 +567,7 @@ class OsiCategory(Category):
     def describe(self):
         return "OSI(%s)" % self.ring.spec
 
-    def count_hom(self, m, n):
+    def _count_hom(self, m, n):
         return len(self.hom(m, n))
 
     def hom(self, m, n, budget=None):

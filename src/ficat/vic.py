@@ -6,10 +6,6 @@ subgroup U.  OVIC(R) is the subcategory of pairs whose splitting fp is
 column-adapted; every VIC morphism factors uniquely as an OVIC morphism after
 an automorphism of the source, which is the normal form used throughout.
 
-Also here: the morphism counts for the splittable-injection category VI and
-the splittable-map category V (a map is splittable when its cokernel is free,
-equivalently when it factors as a surjection followed by a split injection).
-
 Composition convention: compose(g, f) means "g after f", so the components
 multiply as (g.f * f.f, f.fp * g.fp).
 """
@@ -27,7 +23,6 @@ from .matrices import (
     factor_surjection,
     hstack,
     inverse,
-    is_surjective,
     kernel_basis,
     lift_mats,
     mul_cols_data,
@@ -447,7 +442,7 @@ class VicCategory(Category):
             return "VIC(%s)" % self.ring.spec
         return "VIC(%s, U=%s)" % (self.ring.spec, sorted(self.units.elements))
 
-    def count_hom(self, m, n):
+    def _count_hom(self, m, n):
         if m > n:
             return 0
         if m == n:
@@ -594,7 +589,7 @@ class OvicCategory(Category):
     def describe(self):
         return "OVIC(%s)" % self.ring.spec
 
-    def count_hom(self, m, n):
+    def _count_hom(self, m, n):
         return ovic_count(self.ring, m, n)
 
     def _enumerate_hom(self, m, n):
@@ -666,45 +661,4 @@ def vic_factor(mor):
     if ovic.f.mul(aut.f) != mor.f or aut.fp.mul(ovic.fp) != mor.fp:
         raise InvariantViolation("OVIC factorization does not recompose")
     return ovic, aut
-
-
-# ---------------------------------------------------------------------------
-# VI and V morphism counts
-# ---------------------------------------------------------------------------
-
-def _count_surjections(ring, m, k, budget):
-    """Brute count of surjective maps R^m -> R^k (k x m matrices)."""
-    if k > m:
-        return 0
-    total = ring.size ** (m * k)
-    charge(total, budget, "surjection count (%d,%d) over %s" % (m, k, ring.spec))
-    count = 0
-    for data in iproduct(range(ring.size), repeat=k * m):
-        if is_surjective(Mat(ring, k, m, data)):
-            count += 1
-    return count
-
-
-def vi_v_hom_counts(ring, m, n, budget=None):
-    """(vi_count, v_count) for maps R^m -> R^n.
-
-    vi_count is the number of split injections (brute force: transposing
-    maps them one to one onto the surjections R^n -> R^m).  v_count is the
-    number of maps with free cokernel, obtained from the factorization of such
-    a map as a surjection onto R^k followed by a split injection: the pairs
-    over-count each map by a free GL_k action, so the k-th term divides
-    exactly.
-    """
-    vi = _count_surjections(ring, n, m, budget)
-    v = 0
-    for k in range(min(m, n) + 1):
-        s = _count_surjections(ring, m, k, budget)
-        i = _count_surjections(ring, n, k, budget)
-        if not s or not i:
-            continue
-        g = gl_order(ring, k)
-        if (s * i) % g:
-            raise InvariantViolation("GL_%d action on factorizations is not free" % k)
-        v += (s * i) // g
-    return vi, v
 

@@ -9,11 +9,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from ficat.catcore import Category, FiCategory, FiMorphism, _action_tables, check_axioms, group_structure_report
+from ficat.catcore import Category, FiCategory, FiMorphism, _action_tables, check_axioms
 from ficat.errors import InvariantViolation, PreconditionError
 from ficat.rings import make_ring
-from ficat.si import make_osi_category, make_si_category
-from ficat.vic import make_ovic_category, make_vic_category
+from ficat.si import OsiCategory, SiCategory, make_osi_category, make_si_category
+from ficat.vic import OvicCategory, VicCategory, make_ovic_category, make_vic_category
+from oracles import canonical_orbit
 
 
 def brute_injections(m, n):
@@ -121,14 +122,13 @@ def test_fi_axioms_rank4():
 
 
 def test_fi_group_structure_report():
-    rep = group_structure_report(FiCategory(), 2, 4)
-    assert rep["hom"] == 12
-    assert rep["aut"] == 24
-    assert rep["aut_residual"] == 2
-    assert rep["transitive"]
-    assert rep["stabilizer"] == 2
-    assert rep["counting_identity"]
-    assert rep["orbit_stabilizer_ok"]
+    # Aut(4) acts transitively on hom(2, 4); the stabilizer of the canonical
+    # inclusion is Aut(2), so |hom(2, 4)| |Aut(2)| = |Aut(4)|
+    fi = FiCategory()
+    assert (fi.count_hom(2, 4), len(fi.aut(4)), fi.count_hom(2, 2)) == (12, 24, 2)
+    orbit, stabilizer = canonical_orbit(fi, 2, 4)
+    assert orbit == fi.position(2, 4).keys()
+    assert stabilizer == 2 == fi.count_hom(2, 2)
 
 
 def precompose_categories():
@@ -321,3 +321,25 @@ def test_a_composite_outside_its_hom_set_falls_back_to_the_composites():
             "associativity fails at (2,2,2,3)",
         ],
     }
+
+
+def test_count_hom_rejects_bad_ranks_in_every_category():
+    # count_hom validates both ranks before any category counts, as hom does
+    z2 = make_ring("Z/2")
+    for cat in (FiCategory(), VicCategory(z2), OvicCategory(z2), SiCategory(z2), OsiCategory(z2)):
+        cat.hom(1, 2)
+        for m, n in ((-1, 2), (1, -1), (1.0, 2), (1, "2"), ([1], 2)):
+            with pytest.raises(PreconditionError):
+                cat.count_hom(m, n)
+            with pytest.raises(PreconditionError):
+                cat.hom(m, n)
+
+
+def test_check_axioms_rejects_bad_sampling_sizes():
+    fi = FiCategory()
+    for cap, samples in ((0, -5), (-1, 10), ("x", 10), (10, 2.5)):
+        with pytest.raises(PreconditionError):
+            check_axioms(fi, 3, assoc_cap=cap, assoc_samples=samples)
+    # zero stays allowed: every signature is then sampled, none drawn
+    report = check_axioms(fi, 2, assoc_cap=0, assoc_samples=0)
+    assert report["ok"] and report["checks"]["associativity"]["checked"] == 0

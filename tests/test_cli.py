@@ -207,6 +207,20 @@ def test_axioms_cli_rejects_a_negative_max_rank(capsys):
         check_axioms(FiCategory(), "2")
 
 
+@pytest.mark.parametrize("argv", [
+    ("counts", "--cat", "SI", "--ring", "Z/2", "--src", "-1", "--dst", "2"),
+    ("counts", "--cat", "FI", "--src", "-1", "--dst", "2"),
+    ("counts", "--cat", "VIC", "--ring", "Z/2", "--src", "-1", "--dst", "2"),
+    ("hom-enum", "--cat", "VIC", "--ring", "Z/2", "--src", "1", "--dst", "-2", "--count-only"),
+], ids=["counts-SI", "counts-FI", "counts-VIC", "hom-enum-count-only"])
+def test_count_commands_reject_a_negative_rank(capsys, argv):
+    # one precondition record and nothing on stderr, whatever the category
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert [json.loads(line)["error"] for line in captured.out.splitlines()] == ["precondition"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error records
 # ---------------------------------------------------------------------------

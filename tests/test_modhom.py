@@ -33,7 +33,6 @@ from ficat.modhom import (
     _orbit_tables,
     _shift_group,
     chain_homotopy_check,
-    check_functoriality,
     coef_field,
     complex_homology,
     exactness_report,
@@ -48,7 +47,6 @@ from ficat.modhom import (
     shift_complex,
     span_coords,
     submodule_closure,
-    zero_module,
 )
 
 
@@ -140,6 +138,31 @@ def random_matrix(rng, field, rows, cols):
     if field.p:
         return [tuple(field.of(rng.randrange(field.p)) for _ in range(cols)) for _ in range(rows)]
     return [tuple(field.of(rng.randrange(-3, 4)) for _ in range(cols)) for _ in range(rows)]
+
+
+def check_functoriality(module, up_to):
+    """Exhaustively check act(id) = I and act(g . f) = act(g) act(f) for all
+    ranks up to up_to; returns the number of composable pairs checked."""
+    cat, field = module.cat, module.field
+    for n in range(up_to + 1):
+        assert module.act(cat.identity(n)).row_dicts() == [{j: field.one} for j in range(module.dims[n])], n
+    pairs = 0
+    for a in range(up_to + 1):
+        for b in range(a, up_to + 1):
+            for c in range(b, up_to + 1):
+                for f in cat.hom(a, b):
+                    act_f = module.act(f)
+                    for g in cat.hom(b, c):
+                        left, act_g = module.act(cat.compose(g, f)), module.act(g)
+                        for j in range(left.cols):
+                            assert dict(left.column(j)) == act_g.apply_column(field, act_f.column(j)), (a, b, c)
+                        pairs += 1
+    return pairs
+
+
+def zero_module(cat, max_rank, field):
+    """The zero module at every rank: the closure of no generators in P_0."""
+    return submodule_closure(representable(cat, 0, max_rank, field), []).as_module()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Source guards: the package keeps its checks under python -O, carries
-no definition that nothing uses, leaves the garbage collector alone,
+no definition that only the tests use, leaves the garbage collector alone,
 indexes hom sets through Category.position only, reads sparse maps as
 packed arrays, and walks local factors through local_parts only."""
 
@@ -112,10 +112,12 @@ def test_only_rings_indexes_local_factors():
 
 def test_every_definition_is_used():
     # a def or class whose name occurs nowhere but at its own definitions
-    # (in the code of the package, the tests or the benchmark, or in the
-    # README) is dead code
+    # (in the code of the package, its __init__ imports included, or in the
+    # README) is dead code; a helper that only the tests or the benchmark
+    # call belongs with them
     defs = Counter()
     where = {}
+    words = Counter(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     for path in sorted((ROOT / "src" / "ficat").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -124,12 +126,9 @@ def test_every_definition_is_used():
                     continue
                 defs[name] += 1
                 where.setdefault(name, "%s:%d" % (path.name, node.lineno))
-    # names in code count as NAME tokens, so a name inside a string or a
-    # comment is no use; the README counts as plain words
-    words = Counter(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    for d in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / d).rglob("*.py")):
-            with path.open("rb") as fh:
-                words.update(t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME)
+        # names in code count as NAME tokens, so a name inside a string or a
+        # comment is no use; the README counts as plain words
+        with path.open("rb") as fh:
+            words.update(t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME)
     unused = sorted("%s (%s)" % (name, where[name]) for name, n in defs.items() if words[name] <= n)
     assert not unused, unused

@@ -10,7 +10,7 @@ import pytest
 from ficat.errors import BudgetExceeded, PreconditionError
 from ficat.matrices import Mat, lift_mats, local_parts, row_adapted
 from ficat.rings import make_ring
-from ficat.si import SiMorphism, make_osi_category, make_si_category, osi_prime_hom, si_hom_from, standard_form, symplectic_forms
+from ficat.si import SiMorphism, make_osi_category, make_si_category, osi_prime_hom, si_hom_from, standard_form
 from ficat.vic import OvicMorphism, make_ovic_category, ovic_hom_enumerate
 from ficat.wporder import (
     ORDERS,
@@ -31,6 +31,7 @@ from ficat.wporder import (
     order_of,
     word_leq,
 )
+from oracles import symplectic_forms
 
 R2 = make_ring("Z/2")
 R4 = make_ring("Z/4")
