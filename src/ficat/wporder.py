@@ -324,11 +324,12 @@ def ovic_insertion(ring, n, k, l, pivots, v):
     """
     if not ring.is_local:
         raise PreconditionError("the insertion construction works one local factor at a time")
-    if not (1 <= k <= l <= n):
-        raise PreconditionError("need 1 <= k <= l <= n, got k=%r l=%r n=%r" % (k, l, n))
-    pivots = tuple(sorted(pivots))
-    if any(not (1 <= s <= n) for s in pivots) or len(set(pivots)) != len(pivots):
+    if not all(isinstance(x, int) for x in (k, l, n)) or not (1 <= k <= l <= n):
+        raise PreconditionError("need integers 1 <= k <= l <= n, got k=%r l=%r n=%r" % (k, l, n))
+    pivots = tuple(pivots)
+    if any(not isinstance(s, int) or not (1 <= s <= n) for s in pivots) or len(set(pivots)) != len(pivots):
         raise PreconditionError("bad pivot set %r for target rank %d" % (pivots, n))
+    pivots = tuple(sorted(pivots))
     v = tuple(ring.check_element(x) for x in v)
     if len(v) != len(pivots):
         raise PreconditionError("v must have one entry per pivot")

@@ -227,6 +227,9 @@ def test_insertion_preconditions():
         ovic_insertion(R4, 2, 1, 2, (2,), (1,))  # unit entry at a late pivot
     with pytest.raises(PreconditionError):
         ovic_insertion(R4, 2, 1, 2, (3,), (2,))  # pivot out of range
+    for n, k, pivot in (("2", 1, 1), (2, 1.0, 1), (2, 1, "1")):  # not an integer
+        with pytest.raises(PreconditionError):
+            ovic_insertion(R2, n, k, 1, (pivot,), (0,))
     # a unit entry at a pivot strictly below l is allowed
     phi = ovic_insertion(R4, 2, 2, 2, (1,), (1,))
     assert phi.fp.mul(phi.f) == Mat.identity(R4, 2)
