@@ -90,8 +90,9 @@ class Category:
 
     def position(self, m, n, budget=None):
         """{key(f): index of f in hom(m, n)}, built on the first call and cached."""
+        hom = self.hom(m, n, budget)  # checks both ranks before the cache is keyed on them
         if (m, n) not in self._position_cache:
-            self._position_cache[(m, n)] = {self.key(f): i for i, f in enumerate(self.hom(m, n, budget))}
+            self._position_cache[(m, n)] = {self.key(f): i for i, f in enumerate(hom)}
         return self._position_cache[(m, n)]
 
     # subclasses: _count_hom, _enumerate_hom, compose, identity, key, validate

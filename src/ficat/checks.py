@@ -140,7 +140,7 @@ def check_03(profile="full", seed=0):
             if profile == "quick" and spec == "Z/6" and (rows, cols) == (2, 3):
                 surjs = rng.sample(surjs, 200)
             if rows not in gl_cache:
-                gl = gl_pairs(ring, rows)
+                gl = list(gl_pairs(ring, rows))  # walked once per surjection
                 gl_cache[rows] = gl, [ginv for _, ginv, _ in gl]
             gl, ginvs = gl_cache[rows]
             for m in surjs:

@@ -5,11 +5,15 @@ inverse fp (m x n); at equal ranks the determinant of f must lie in the unit
 subgroup U.  OVIC(R) is the subcategory of pairs whose splitting fp is
 column-adapted; every VIC morphism factors uniquely as an OVIC morphism after
 an automorphism of the source, which is the normal form used throughout.
+GL_n(R) is a GlTable: its matrices' codes in one sorted array, read as Mats.
 
 Composition convention: compose(g, f) means "g after f", so the components
 multiply as (g.f * f.f, f.fp * g.fp).
 """
 
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import combinations, groupby, product as iproduct
 
 from .catcore import Category, check_composable
@@ -139,93 +143,130 @@ class OvicMorphism(VicMorphism):
 
 
 # ---------------------------------------------------------------------------
-# GL caches and counts
+# GL tables and counts
 # ---------------------------------------------------------------------------
 
 _GL_LOCAL = {}
 
 
+class GlTable(Sequence):
+    """GL_n(R) as a read-only sequence of (mat, inverse, det) triples sorted by
+    mat.data, in three arrays: codes, the base-|R| numbers the row-major
+    entries spell; inv, the index of each inverse; dets.  Item i is built on
+    read from rows (R^n in lexicographic order) and never cached, so a caller
+    that walks a table often holds list(table).  A code fills a signed 64-bit
+    entry, so |R|^(n^2) < 2^63: a wider table is larger than any budget (over
+    a local ring it has more than 2^61 elements)."""
+
+    __slots__ = ("ring", "n", "codes", "inv", "dets", "rows")
+
+    def __init__(self, ring, n, codes, inv, dets, rows):
+        self.ring, self.n, self.codes, self.inv, self.dets, self.rows = ring, n, codes, inv, dets, rows
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self.codes)))))
+        return self.mat(i), self.mat(self.inv[i]), self.dets[i]
+
+    def mat(self, i):
+        """Element i as a Mat, its rows looked up in rows."""
+        code, rows, width, data = self.codes[i], self.rows, len(self.rows), ()
+        for _ in range(self.n):
+            code, r = divmod(code, width)
+            data = rows[r] + data
+        return Mat(self.ring, self.n, self.n, data)
+
+    def code(self, data):
+        """The base-|R| number that the entries of data spell."""
+        code = 0
+        for x in data:
+            code = code * self.ring.size + x
+        return code
+
+    def position(self, code):
+        """The index of the matrix with this code."""
+        j = bisect_left(self.codes, code)
+        if j == len(self.codes) or self.codes[j] != code:
+            raise InvariantViolation("GL_%d(%s) misses the matrix with code %d" % (self.n, self.ring.spec, code))
+        return j
+
+
 def _gl_local(ring, n):
-    """All invertible n x n matrices over a local ring Z/p^k, as (mat, inverse,
-    det) triples sorted by mat.data.
+    """All invertible n x n matrices over a local ring Z/p^k, as a GlTable.
 
     A square matrix is invertible exactly when its rows are independent mod p,
     so the rows are chosen in lexicographic order, each outside the span over
-    F_p of the rows before it; the matrices come out sorted, in runs that
-    share their first n - 1 rows.  Only the first matrix g0 of a run is
-    inverted by elimination.  Any other g in it is g0 + e_n u^T, with u the
-    difference of the last rows, so with B = g0^-1 and beta = 1 + u^T B e_n
-    (Sherman-Morrison, and the matrix determinant lemma)
+    F_p of the rows before it; the codes come out sorted, in runs that share
+    their first n - 1 rows.  Only the first matrix g0 of a run is inverted by
+    elimination.  Any other g in it is g0 + e_n u^T, with u the difference of
+    the last rows, so with B = g0^-1 and beta = 1 + u^T B e_n (Sherman-Morrison,
+    and the matrix determinant lemma)
         g^-1 = B - (B e_n)(u^T B) / beta,    det g = beta det g0.
-    Inverses come in pairs: one inverse and one det fill the triples of both
-    g and g^-1.
+    g^-1 is found by bisection on its code.  Inverses come in pairs: one
+    inverse and one det fill the entries of both g and g^-1.
     """
-    key = (ring.spec, n)
-    got = _GL_LOCAL.get(key)
-    if got is None:
-        q = ring.size
-        p, _ = prime_power(q)
-        vecs = [(v, tuple(x % p for x in v)) for v in iproduct(range(q), repeat=n)]
-        datas = []
+    if (ring.spec, n) in _GL_LOCAL:
+        return _GL_LOCAL[ring.spec, n]
+    q = ring.size
+    p, _ = prime_power(q)
+    rows = list(iproduct(range(q), repeat=n))
+    width = len(rows)
+    residues = [tuple(x % p for x in v) for v in rows]
+    codes = array("q", [0] if n == 0 else [])  # GL_0 is the one empty matrix
 
-        def extend(prefix, span, depth):
-            for v, res in vecs:
-                if res in span:
-                    continue
-                if depth == 1:
-                    datas.append(prefix + v)
-                else:
-                    wider = {tuple((a + t * b) % p for a, b in zip(s, res))
-                             for s in span for t in range(p)}
-                    extend(prefix + v, wider, depth - 1)
+    def extend(prefix, span, depth):
+        for r, res in enumerate(residues):
+            if res in span:
+                continue
+            if depth == 1:
+                codes.append(prefix + r)
+            else:
+                wider = {tuple((a + t * b) % p for a, b in zip(s, res)) for s in span for t in range(p)}
+                extend((prefix + r) * width, wider, depth - 1)
 
-        if n == 0:
-            datas.append(())
-        else:
-            extend((), {(0,) * n}, n)
-        if len(datas) != _gl_count_local(ring, n):
-            raise InvariantViolation("GL_%d(%s) enumeration disagrees with the order formula" % (n, ring.spec))
-        index = {data: i for i, data in enumerate(datas)}
-        out = [None] * len(datas)
+    if n:
+        extend(0, {(0,) * n}, n)
+    if len(codes) != _gl_count_local(ring, n):
+        raise InvariantViolation("GL_%d(%s) enumeration disagrees with the order formula" % (n, ring.spec))
+    table = GlTable(ring, n, codes, array("q", [-1]) * len(codes), array("q", [0]) * len(codes), rows)
+    inv, dets = table.inv, table.dets
 
-        def pair(i, g, inv_data, d):
-            j = index.get(inv_data)
-            if j is None:
-                raise InvariantViolation("GL_%d(%s) misses the inverse of %r" % (n, ring.spec, g))
-            ginv = Mat(ring, n, n, inv_data)
-            out[i] = (g, ginv, d)
-            if out[j] is None:
-                out[j] = (ginv, g, ring.inverse(d))
+    def pair(i, inv_data, d):
+        j = table.position(table.code(inv_data))
+        inv[i], dets[i] = j, d
+        if inv[j] < 0:
+            inv[j], dets[j] = i, ring.inverse(d)
 
-        head = n * (n - 1)
-        for _, run in groupby(range(len(datas)), key=lambda i: datas[i][:head]):
-            i0 = next(run)
-            if out[i0] is None:
-                g0 = Mat(ring, n, n, datas[i0])
-                b = _local_inverse(g0)
-                pair(i0, g0, b.data if b is not None else None, det(g0))
-            _, b, d0 = out[i0]
-            B, v0 = b.data, datas[i0][head:]
-            brows = [B[t * n:(t + 1) * n] for t in range(n)]
-            last = [row[-1] for row in brows]  # B e_n
-            for i in run:
-                if out[i] is not None:
-                    continue
-                uB = [0] * n  # u^T B
-                for x, y, row in zip(datas[i][head:], v0, brows):
-                    if x != y:
-                        uB = [s + (x - y) * z for s, z in zip(uB, row)]
-                beta = (1 + uB[-1]) % q
-                binv = ring.inverse(beta)
-                g = Mat(ring, n, n, datas[i])
-                if binv is None:
-                    raise InvariantViolation("GL_%d(%s): rank-one update of %r has no unit factor" % (n, ring.spec, g))
-                w = [z * binv for z in uB]
-                inv_data = tuple([(x - c * z) % q for row, c in zip(brows, last) for x, z in zip(row, w)])
-                pair(i, g, inv_data, d0 * beta % q)
-        got = tuple(out)
-        _GL_LOCAL[key] = got
-    return got
+    for _, run in groupby(range(len(codes)), key=lambda i: codes[i] // width):
+        i0 = next(run)
+        if inv[i0] < 0:
+            g0 = table.mat(i0)
+            b = _local_inverse(g0)
+            if b is None:
+                raise InvariantViolation("GL_%d(%s) misses the inverse of %r" % (n, ring.spec, g0))
+            pair(i0, b.data, det(g0))
+        B, v0, d0 = table.mat(inv[i0]).data, rows[codes[i0] % width], dets[i0]
+        brows = [B[t * n:(t + 1) * n] for t in range(n)]
+        last = [row[-1] for row in brows]  # B e_n
+        for i in run:
+            if inv[i] >= 0:
+                continue
+            uB = [0] * n  # u^T B
+            for x, y, row in zip(rows[codes[i] % width], v0, brows):
+                if x != y:
+                    uB = [s + (x - y) * z for s, z in zip(uB, row)]
+            beta = (1 + uB[-1]) % q
+            binv = ring.inverse(beta)
+            if binv is None:
+                raise InvariantViolation("GL_%d(%s): rank-one update of %r has no unit factor"
+                                         % (n, ring.spec, table.mat(i)))
+            w = [z * binv for z in uB]
+            pair(i, [(x - c * z) % q for row, c in zip(brows, last) for x, z in zip(row, w)], d0 * beta % q)
+    _GL_LOCAL[ring.spec, n] = table
+    return table
 
 
 def _gl_count_local(ring, n):
@@ -250,21 +291,22 @@ def gl_order(ring, n):
 
 
 def gl_pairs(ring, n, budget=None):
-    """All of GL_n(R) as (mat, inverse, det) triples, CRT-combined and sorted."""
+    """All of GL_n(R) as a GlTable; over a product ring its codes, inverses
+    and dets are CRT-lifted from the local tables."""
     count = gl_order(ring, n)
     charge(count, budget, "GL_%d(%s) enumeration" % (n, ring.spec))
     dec = ring.local
     locs = [_gl_local(rf, n) for rf in dec.factors]
     if dec.factors[0] is ring:
         return locs[0]
-    out = []
-    for combo in iproduct(*locs):
-        m = lift_mats(ring, [c[0] for c in combo])
-        mi = lift_mats(ring, [c[1] for c in combo])
-        d = dec.lift(tuple(c[2] for c in combo))
-        out.append((m, mi, d))
-    out.sort(key=lambda t: t[0].data)
-    return tuple(out)
+    table = GlTable(ring, n, array("q"), array("q"), array("q"), list(iproduct(range(ring.size), repeat=n)))
+    lifted = sorted((table.code(map(dec.lift, zip(*[c[0].data for c in combo]))),
+                     table.code(map(dec.lift, zip(*[c[1].data for c in combo]))),
+                     dec.lift(tuple(c[2] for c in combo))) for combo in iproduct(*locs))
+    table.codes.extend(e[0] for e in lifted)
+    table.dets.extend(e[2] for e in lifted)
+    table.inv.extend(table.position(e[1]) for e in lifted)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +502,9 @@ class VicCategory(Category):
         if m > n:
             return []
         if m == n:
-            out = []
-            for a, ainv, d in gl_pairs(self.ring, n, budget=-1):
-                if d in self.units:
-                    out.append(VicMorphism(a, ainv, check=False))
-            return out
+            table = gl_pairs(self.ring, n, budget=-1)  # one Mat per element whose det lies in U
+            mats = {i: table.mat(i) for i, d in enumerate(table.dets) if d in self.units}
+            return [VicMorphism(a, mats[table.inv[i]], check=False) for i, a in mats.items()]
         ovics = ovic_hom_enumerate(self.ring, m, n, budget=-1)
         auts = [VicMorphism(a, ainv, check=False) for a, ainv, _ in gl_pairs(self.ring, m, budget=-1)]
         fs, fps = {}, {}  # few distinct halves: the whole hom set shares one Mat per value
@@ -654,6 +694,8 @@ def vic_factor(mor):
     The splitting fp factors uniquely as f2 * f1 with f1 column-adapted and
     f2 invertible; then ovic = (f * f2, f1) and aut = (f2^{-1}, f2).
     """
+    if not isinstance(mor, VicMorphism):
+        raise PreconditionError("vic_factor needs a VicMorphism, got %r" % (mor,))
     f1, f2 = factor_surjection(mor.fp)
     f2inv = inverse(f2)
     ovic = OvicMorphism(mor.f.mul(f2), f1, check=True)

@@ -324,7 +324,8 @@ def test_a_composite_outside_its_hom_set_falls_back_to_the_composites():
 
 
 def test_count_hom_rejects_bad_ranks_in_every_category():
-    # count_hom validates both ranks before any category counts, as hom does
+    # count_hom and position validate both ranks before any category counts
+    # or looks up a cache, as hom does
     z2 = make_ring("Z/2")
     for cat in (FiCategory(), VicCategory(z2), OvicCategory(z2), SiCategory(z2), OsiCategory(z2)):
         cat.hom(1, 2)
@@ -333,6 +334,8 @@ def test_count_hom_rejects_bad_ranks_in_every_category():
                 cat.count_hom(m, n)
             with pytest.raises(PreconditionError):
                 cat.hom(m, n)
+            with pytest.raises(PreconditionError):
+                cat.position(m, n)
 
 
 def test_check_axioms_rejects_bad_sampling_sizes():

@@ -6,7 +6,9 @@ filtering for GL (with a Leibniz determinant), and composite-set counting for
 the category V.
 """
 
+import random
 import tracemalloc
+from collections.abc import Sequence
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from ficat.catcore import check_axioms
 from ficat.errors import BudgetExceeded, InvariantViolation, PreconditionError
 from ficat.matrices import Mat, column_adapted, det, is_surjective, try_inverse
+from ficat import vic as vic_module
 from ficat.rings import make_ring
 from ficat.vic import (
     OvicMorphism,
@@ -167,6 +170,42 @@ def test_gl3_z4_sorted_pairs():
         assert d == det(a)
 
 
+@pytest.mark.parametrize("spec,n", [("Z/4", 2), ("Z/6", 2), ("Z/2", 0)])
+def test_gl_table_is_a_read_only_sequence(spec, n):
+    ring = make_ring(spec)
+    table = gl_pairs(ring, n)
+    assert isinstance(table, Sequence) and len(table) == gl_order(ring, n)
+    triples = list(table)
+    assert triples == [table[i] for i in range(len(table))]
+    assert table[-1] == triples[-1] and table[-len(table)] == triples[0]
+    assert table[1:5] == tuple(triples[1:5]) and table[::-3] == tuple(triples[::-3])
+    with pytest.raises(IndexError):
+        table[len(table)]
+    with pytest.raises(IndexError):
+        table[-len(table) - 1]
+    sample = random.Random(7).sample(table, min(5, len(table)))
+    assert all(t in triples for t in sample)
+    # the arrays behind it: sorted codes, the index of each inverse, the dets
+    assert list(table.codes) == sorted(set(table.codes))
+    for i, ((a, ainv, d), code, j, e) in enumerate(zip(triples, table.codes, table.inv, table.dets)):
+        assert table.code(a.data) == code and table.position(code) == i
+        assert triples[j][0] == ainv and d == e
+
+
+def test_gl3_z4_table_is_compact(monkeypatch):
+    # 86,016 elements in three arrays of 64-bit entries: about 2 MB, against
+    # 25.8 MB retained (31.2 MB peak) for a Mat pair and a tuple per element
+    monkeypatch.delitem(vic_module._GL_LOCAL, ("Z/4", 3), raising=False)
+    tracemalloc.start()
+    try:
+        table = gl_pairs(Z4, 3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 86016
+    assert retained < 4_000_000 and peak < 8_000_000
+
+
 def test_gl_budget():
     with pytest.raises(BudgetExceeded):
         gl_pairs(Z6, 3, budget=500_000)
@@ -317,6 +356,22 @@ def test_vic_symmetric_flag():
 
 
 # ----- factorization through OVIC -----
+
+@pytest.mark.parametrize("spec,units", [("Z/4", [1]), ("Z/5", [1, 4]), ("Z/6", [1])])
+def test_vic_aut_keeps_the_table_rows_with_det_in_u(spec, units):
+    ring = make_ring(spec)
+    vic = VicCategory(ring, units)
+    for n in range(3):
+        want = [(n, n, a.data, ainv.data) for a, ainv, d in gl_pairs(ring, n) if d in units]
+        assert [vic.key(f) for f in vic.aut(n)] == want
+    assert len(vic.aut(2)) * len(ring.units()) == gl_order(ring, 2) * len(units)
+
+
+def test_vic_factor_rejects_non_morphisms():
+    for bad in (None, Mat.identity(Z4, 2), "f"):
+        with pytest.raises(PreconditionError):
+            vic_factor(bad)
+
 
 def test_vic_factor_example():
     mor = VicMorphism(Mat.from_rows(Z4, [[3], [0]]), Mat.from_rows(Z4, [[3, 0]]))

@@ -230,6 +230,9 @@ def test_insertion_preconditions():
     for n, k, pivot in (("2", 1, 1), (2, 1.0, 1), (2, 1, "1")):  # not an integer
         with pytest.raises(PreconditionError):
             ovic_insertion(R2, n, k, 1, (pivot,), (0,))
+    for pivots, v in ((5, (0,)), ((1,), 7)):  # not a sequence
+        with pytest.raises(PreconditionError):
+            ovic_insertion(R4, 3, 1, 2, pivots, v)
     # a unit entry at a pivot strictly below l is allowed
     phi = ovic_insertion(R4, 2, 2, 2, (1,), (1,))
     assert phi.fp.mul(phi.f) == Mat.identity(R4, 2)
