@@ -183,6 +183,8 @@ def test_gl_table_is_a_read_only_sequence(spec, n):
         table[len(table)]
     with pytest.raises(IndexError):
         table[-len(table) - 1]
+    with pytest.raises(TypeError):
+        table[0] = triples[0]
     sample = random.Random(7).sample(table, min(5, len(table)))
     assert all(t in triples for t in sample)
     # the arrays behind it: sorted codes, the index of each inverse, the dets
