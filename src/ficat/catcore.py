@@ -7,7 +7,7 @@ related coherence data.  The axiom checker lives here and is shared by the
 FI, VIC and SI instances.
 
 Composition convention throughout: compose(g, f) means "g after f", and
-precompose(gs, f) is [compose(g, f) for g in gs], which VIC, OVIC and SI batch.
+precompose(gs, f) is [compose(g, f) for g in gs], which OVIC batches.
 Callers that read only the keys of the composites ask precompose_keys(gs, f)
 for [key(compose(g, f)) for g in gs], which FI, VIC and SI build from the
 factors' data with no morphism or matrix object per composite; OVIC and OSI
@@ -35,6 +35,14 @@ MONO_CAP = 50_000_000  # compositions the mono check may make for one hom set be
 def _slices(xs, size):
     """xs cut into consecutive slices of at most size items."""
     return [xs[at:at + size] for at in range(0, len(xs), size)]
+
+
+def _all_or_sampled(rng, pools, cap=200):
+    """Every tuple of the product of pools when there are at most cap, else cap
+    seeded draws, each one rng.choice per pool with the pools in order."""
+    if math.prod(map(len, pools)) <= cap:
+        return list(iproduct(*pools))
+    return [tuple(rng.choice(pool) for pool in pools) for _ in range(cap)]
 
 
 def check_composable(gs, f):
@@ -119,13 +127,13 @@ class Category:
 
     def canonical(self, m, n):
         """The inclusion of rank m onto the first m slots of rank n."""
-        if m > n:
+        if nonneg_int(m, "object rank") > nonneg_int(n, "object rank"):
             raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
         return self.slot_inclusion(tuple(range(m)), n)
 
     def canonical_last(self, m, n):
         """The inclusion of rank m onto the last m slots of rank n."""
-        if m > n:
+        if nonneg_int(m, "object rank") > nonneg_int(n, "object rank"):
             raise PreconditionError("no canonical inclusion %d -> %d" % (m, n))
         return self.slot_inclusion(tuple(range(n - m, n)), n)
 
@@ -500,21 +508,9 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                     for b0 in range(b + 1):
                         for a1 in range(a0 + 1):
                             for b1 in range(b0 + 1):
-                                hf = cat.hom(a0, a, budget)
-                                hg = cat.hom(b0, b, budget)
-                                hf2 = cat.hom(a1, a0, budget)
-                                hg2 = cat.hom(b1, b0, budget)
-                                total = len(hf) * len(hg) * len(hf2) * len(hg2)
-                                if total == 0:
-                                    continue
-                                if total <= 200:
-                                    quads = list(iproduct(hf, hg, hf2, hg2))
-                                else:
-                                    quads = [
-                                        (rng2.choice(hf), rng2.choice(hg), rng2.choice(hf2), rng2.choice(hg2))
-                                        for _ in range(200)
-                                    ]
-                                for f, g, f2, g2 in quads:
+                                ranks = ((a0, a), (b0, b), (a1, a0), (b1, b0))
+                                pools = [cat.hom(src, dst, budget) for src, dst in ranks]
+                                for f, g, f2, g2 in _all_or_sampled(rng2, pools):
                                     lhs = cat.compose(
                                         cat.monoidal_sum(f, g), cat.monoidal_sum(f2, g2)
                                     )
@@ -538,17 +534,8 @@ def check_axioms(cat, max_rank, budget=None, seed=0, assoc_cap=200_000, assoc_sa
                 # naturality on a bounded sample
                 for a0 in range(a + 1):
                     for b0 in range(b + 1):
-                        hf = cat.hom(a0, a, budget)
-                        hg = cat.hom(b0, b, budget)
-                        if not hf or not hg:
-                            continue
-                        pairs = len(hf) * len(hg)
-                        if pairs <= 200:
-                            chosen = [(f, g) for f in hf for g in hg]
-                        else:
-                            chosen = [(rng3.choice(hf), rng3.choice(hg)) for _ in range(200)]
                         sig0 = cat.flip(a0, b0)
-                        for f, g in chosen:
+                        for f, g in _all_or_sampled(rng3, [cat.hom(a0, a, budget), cat.hom(b0, b, budget)]):
                             lhs = cat.compose(sig, cat.monoidal_sum(f, g))
                             rhs = cat.compose(cat.monoidal_sum(g, f), sig0)
                             if lhs != rhs:

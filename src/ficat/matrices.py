@@ -103,20 +103,9 @@ class Mat:
             data = [y + s * x for y, x in zip(data, part)]
         return Mat(R, n, m, tuple(data))
 
-    def add(self, other):
-        if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
-            raise PreconditionError("matrix sum needs equal shapes over one ring")
-        radd = self.ring.add
-        return Mat(self.ring, self.rows, self.cols,
-                   tuple(radd(x, y) for x, y in zip(self.data, other.data)))
-
     def neg(self):
         rneg = self.ring.neg
         return Mat(self.ring, self.rows, self.cols, tuple(rneg(x) for x in self.data))
-
-    def scale(self, c):
-        rmul = self.ring.mul
-        return Mat(self.ring, self.rows, self.cols, tuple(rmul(c, x) for x in self.data))
 
     def submatrix(self, row_idx, col_idx):
         return Mat(

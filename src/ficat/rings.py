@@ -103,61 +103,56 @@ class FiniteRing:
         self._units = None
         self._local = None
         self._inv = None
+        strides = []
+        acc = 1
+        for n in reversed(self.moduli):
+            strides.append(acc)
+            acc *= n
+        self._strides = tuple(reversed(strides))
+        self._digits = tuple(
+            tuple((x // s) % n for n, s in zip(self.moduli, self._strides))
+            for x in range(size)
+        )
+        self.residues = tuple(zip(*self._digits))
+        self.one = self.encode((1,) * len(self.moduli))
         if len(self.moduli) == 1:
             n = self.moduli[0]
-            self.one = 1
             self.add = lambda a, b, n=n: (a + b) % n
             self.mul = lambda a, b, n=n: (a * b) % n
             self.neg = lambda a, n=n: (-a) % n
-            self._digits = None
-            self._strides = None
-            self.residues = (tuple(range(n)),)
+        elif size <= 64:
+            # small products get full operation tables
+            add_t = []
+            mul_t = []
+            neg_t = []
+            for a in range(size):
+                da = self._digits[a]
+                neg_t.append(self.encode(tuple((-x) % n for x, n in zip(da, self.moduli))))
+                for b in range(size):
+                    db = self._digits[b]
+                    add_t.append(
+                        self.encode(tuple((x + y) % n for x, y, n in zip(da, db, self.moduli)))
+                    )
+                    mul_t.append(
+                        self.encode(tuple((x * y) % n for x, y, n in zip(da, db, self.moduli)))
+                    )
+            add_t = tuple(add_t)
+            mul_t = tuple(mul_t)
+            neg_t = tuple(neg_t)
+            self.add = lambda a, b, t=add_t, s=size: t[a * s + b]
+            self.mul = lambda a, b, t=mul_t, s=size: t[a * s + b]
+            self.neg = lambda a, t=neg_t: t[a]
         else:
-            strides = []
-            acc = 1
-            for n in reversed(self.moduli):
-                strides.append(acc)
-                acc *= n
-            self._strides = tuple(reversed(strides))
-            self._digits = tuple(
-                tuple((x // s) % n for n, s in zip(self.moduli, self._strides))
-                for x in range(size)
+            digits = self._digits
+            moduli = self.moduli
+            encode = self.encode
+            self.add = lambda a, b: encode(
+                tuple((x + y) % n for x, y, n in zip(digits[a], digits[b], moduli))
             )
-            self.residues = tuple(zip(*self._digits))
-            self.one = self.encode((1,) * len(self.moduli))
-            if size <= 64:
-                # small products get full operation tables
-                add_t = []
-                mul_t = []
-                neg_t = []
-                for a in range(size):
-                    da = self._digits[a]
-                    neg_t.append(self.encode(tuple((-x) % n for x, n in zip(da, self.moduli))))
-                    for b in range(size):
-                        db = self._digits[b]
-                        add_t.append(
-                            self.encode(tuple((x + y) % n for x, y, n in zip(da, db, self.moduli)))
-                        )
-                        mul_t.append(
-                            self.encode(tuple((x * y) % n for x, y, n in zip(da, db, self.moduli)))
-                        )
-                add_t = tuple(add_t)
-                mul_t = tuple(mul_t)
-                neg_t = tuple(neg_t)
-                self.add = lambda a, b, t=add_t, s=size: t[a * s + b]
-                self.mul = lambda a, b, t=mul_t, s=size: t[a * s + b]
-                self.neg = lambda a, t=neg_t: t[a]
-            else:
-                digits = self._digits
-                moduli = self.moduli
-                encode = self.encode
-                self.add = lambda a, b: encode(
-                    tuple((x + y) % n for x, y, n in zip(digits[a], digits[b], moduli))
-                )
-                self.mul = lambda a, b: encode(
-                    tuple((x * y) % n for x, y, n in zip(digits[a], digits[b], moduli))
-                )
-                self.neg = lambda a: encode(tuple((-x) % n for x, n in zip(digits[a], moduli)))
+            self.mul = lambda a, b: encode(
+                tuple((x * y) % n for x, y, n in zip(digits[a], digits[b], moduli))
+            )
+            self.neg = lambda a: encode(tuple((-x) % n for x, n in zip(digits[a], moduli)))
 
     # ----- representation helpers -----
 
@@ -180,8 +175,6 @@ class FiniteRing:
 
     def reduce_int(self, t):
         """Image of the integer t under the unique map Z -> R."""
-        if len(self.moduli) == 1:
-            return t % self.moduli[0]
         return self.encode(tuple(t % n for n in self.moduli))
 
     @property
@@ -195,25 +188,16 @@ class FiniteRing:
         self.check_element(x)
         if self._inv is None:
             self._inv = [None] * self.size
-            if len(self.moduli) == 1:
-                n = self.moduli[0]
-                for y in range(self.size):
+            for y, digs in enumerate(self._digits):
+                out = []
+                for d, n in zip(digs, self.moduli):
                     try:
-                        self._inv[y] = pow(y, -1, n)
+                        out.append(pow(d, -1, n))
                     except ValueError:
-                        pass
-            else:
-                for y in range(self.size):
-                    digs = self._digits[y]
-                    out = []
-                    for d, n in zip(digs, self.moduli):
-                        try:
-                            out.append(pow(d, -1, n))
-                        except ValueError:
-                            out = None
-                            break
-                    if out is not None:
-                        self._inv[y] = self.encode(tuple(out))
+                        out = None
+                        break
+                if out is not None:
+                    self._inv[y] = self.encode(tuple(out))
         return self._inv[x]
 
     def is_unit(self, x):
@@ -274,9 +258,8 @@ def _compute_local(ring):
     """One factor Z/q per prime power q exactly dividing a modulus n of the
     ring: its idempotent e is 1 mod q and 0 mod n/q at that modulus and 0 at
     every other, it projects x to its residue mod q and lifts t to t*e."""
-    strides = ring._strides or (1,)
     entries = []
-    for n, res, stride in zip(ring.moduli, ring.residues, strides):
+    for n, res, stride in zip(ring.moduli, ring.residues, ring._strides):
         rest = n
         while rest > 1:
             p = smallest_prime(rest)

@@ -356,13 +356,6 @@ class SiCategory(Category):
                 raise PreconditionError("composition form mismatch")
         return mul_rows_data([g.f for g in gs], f.f)
 
-    def precompose(self, gs, f):
-        R, cols = f.ring, f.f.cols
-        return [
-            SiMorphism(Mat(R, g.f.rows, cols, a), f.src_form, g.dst_form, check=False)
-            for g, a in zip(gs, self._products(gs, f))
-        ]
-
     def precompose_keys(self, gs, f):
         return [(f.src, g.dst, a) for g, a in zip(gs, self._products(gs, f))]
 

@@ -518,9 +518,6 @@ class VicCategory(Category):
         check_composable((g,), f)
         return VicMorphism(g.f.mul(f.f), f.fp.mul(g.fp), check=False)
 
-    def precompose(self, gs, f):
-        return _precompose_split(VicMorphism, gs, f, {}, {})
-
     def precompose_keys(self, gs, f):
         return [(f.src, g.dst, a, ap) for g, (a, ap) in zip(gs, _split_products(gs, f))]
 

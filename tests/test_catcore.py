@@ -338,6 +338,16 @@ def test_count_hom_rejects_bad_ranks_in_every_category():
                 cat.position(m, n)
 
 
+def test_canonical_inclusions_reject_bad_ranks():
+    # a negative source rank once gave the 0 -> n inclusion
+    z2 = make_ring("Z/2")
+    for cat in (FiCategory(), VicCategory(z2), SiCategory(z2)):
+        for m, n in ((-1, 2), (1, -1), (1.5, 2), (1, "2"), (3, 2)):
+            for inclusion in (cat.canonical, cat.canonical_last):
+                with pytest.raises(PreconditionError):
+                    inclusion(m, n)
+
+
 def test_check_axioms_rejects_bad_sampling_sizes():
     fi = FiCategory()
     for cap, samples in ((0, -5), (-1, 10), ("x", 10), (10, 2.5)):

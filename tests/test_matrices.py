@@ -75,7 +75,8 @@ def minor_factor(m):
         adj = [[perm_det(a.submatrix([t for t in range(d) if t != c], [t for t in range(d) if t != r]))
                 for c in range(d)] for r in range(d)]
         adj = [[x if (r + c) % 2 == 0 else fac.neg(x) for c, x in enumerate(row)] for r, row in enumerate(adj)]
-        inv = Mat(fac, d, d, tuple(x for row in adj for x in row)).scale(fac.inverse(perm_det(a)))
+        s = fac.inverse(perm_det(a))
+        inv = Mat(fac, d, d, tuple(fac.mul(s, x) for row in adj for x in row))
         f1s.append(inv.mul(mi))
         f2s.append(a)
 

@@ -20,7 +20,7 @@ import pytest
 from ficat.catcore import FiCategory
 from ficat.errors import BudgetExceeded, InvariantViolation, PreconditionError
 from ficat.rings import make_ring
-from ficat.si import make_si_category
+from ficat.si import make_osi_category, make_si_category
 from ficat.vic import VicCategory, VicMorphism, make_ovic_category, make_vic_category
 from ficat.modhom import (
     CoefField,
@@ -1094,6 +1094,11 @@ def test_closure_generator_validation_and_rationals_path():
         submodule_closure(P1, [(7, (1,))])
     with pytest.raises(PreconditionError):
         submodule_closure(P1, [(1, (1, 0))])
+    # a closure rank outside 0..N (max_rank=-1 once gave an empty closure)
+    for bad in (-1, 1.5, "1", 4):
+        with pytest.raises(PreconditionError):
+            submodule_closure(P1, [], max_rank=bad)
+    assert submodule_closure(P1, [(1, (1,))], max_rank=1).dims() == {0: 0, 1: 1}
     full = submodule_closure(P1, [(1, (1,))])
     assert full.dims() == {0: 0, 1: 1, 2: 2, 3: 3}
     # over Q the pair sums e_i + e_j at rank 3 already span everything
@@ -1109,6 +1114,84 @@ def test_closure_generator_validation_and_rationals_path():
     assert half.dims() == submodule_closure(P1f3, [(2, (2, 0))]).dims() == {0: 0, 1: 0, 2: 2}
     with pytest.raises(PreconditionError):
         submodule_closure(P1f3, [(2, (Fraction(1, 3), 0))])
+
+
+def rref(p, vectors, width):
+    """The reduced row echelon basis of the span of vectors over F_p, or over
+    Q for p = 0, by Gauss-Jordan on dense lists: (rows, pivots)."""
+    norm = (lambda x: x % p) if p else Fraction
+    inv = (lambda x: pow(x, -1, p)) if p else (lambda x: 1 / x)
+    rows = {}  # pivot -> row, 1 at its pivot and 0 at every other pivot
+    for v in vectors:
+        if len(rows) == width:
+            break
+        v = [norm(x) for x in v]
+        for j, row in rows.items():
+            if v[j]:
+                v = [norm(x - v[j] * y) for x, y in zip(v, row)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is None:
+            continue
+        v = [norm(inv(v[j]) * x) for x in v]
+        for k, row in rows.items():
+            if row[j]:
+                rows[k] = [norm(x - row[j] * y) for x, y in zip(row, v)]
+        rows[j] = v
+    return tuple(tuple(rows[j]) for j in sorted(rows)), tuple(sorted(rows))
+
+
+def orbit_span(P, generators, n):
+    """The canonical basis of the span of f . v over every generator (m, v)
+    and every f in hom(m, n), the identity included; P is representable, so
+    f sends the basis vector of u in hom(d, m) to that of f . u."""
+    cat, p = P.cat, P.field.p
+    index = {cat.key(u): i for i, u in enumerate(P.labels[n])}
+    images = []
+    for m, v in generators:
+        if m > n:
+            continue
+        hs = cat.hom(m, n)
+        image = [[0] * P.dims[n] for _ in hs]
+        for u, c in zip(P.labels[m], v):
+            if c:
+                for w, k in zip(image, cat.precompose_keys(hs, u)):
+                    w[index[k]] += c
+        images.extend(image)
+    return rref(p, images, P.dims[n])
+
+
+CLOSURE_CASES = [
+    ("FI", FiCategory, 4, "Q"),
+    ("FI", FiCategory, 4, "F2"),
+    ("VIC(Z/2)", lambda: make_vic_category(make_ring("Z/2")), 3, "F2"),
+    ("VIC(Z/2)", lambda: make_vic_category(make_ring("Z/2")), 3, "F3"),
+    ("SI(Z/2)", lambda: make_si_category(make_ring("Z/2")), 2, "F2"),
+    ("OVIC(Z/2)", lambda: make_ovic_category(make_ring("Z/2")), 3, "F2"),
+    ("OSI(Z/2)", lambda: make_osi_category(make_ring("Z/2")), 2, "F2"),
+]
+
+
+@pytest.mark.parametrize("case", CLOSURE_CASES, ids=lambda c: "%s-N%d-%s" % (c[0], c[2], c[3]))
+def test_closure_is_the_span_of_every_image_of_the_generators(case):
+    _, make_cat, top, fieldspec = case
+    P = representable(make_cat(), 1, top, fieldspec)
+    rng = random.Random(top)
+    values = range(1, P.field.p or 3)
+    gen_sets = [[], [(top, (0,) * P.dims[top])]]
+    for size in (1, 2, 3):
+        # generators with two nonzero coordinates mostly close to proper submodules
+        gens = []
+        for _ in range(size):
+            m = rng.randrange(1, top + 1)
+            v = [0] * P.dims[m]
+            for i in rng.sample(range(P.dims[m]), min(2, P.dims[m])):
+                v[i] = rng.choice(values)
+            gens.append((m, tuple(v)))
+        gen_sets.append(gens)
+    for gens in gen_sets:
+        sub = submodule_closure(P, gens)
+        for n in range(top + 1):
+            assert sub.spans[n] == orbit_span(P, gens, n), (gens, n)
 
 
 def test_unclosed_spans_are_rejected_when_used_as_a_module():
@@ -1266,7 +1349,6 @@ def test_init_gap_property_sweep_random_nested_pairs():
 
 
 def test_init_engine_over_osi():
-    from ficat.si import make_osi_category
 
     R2 = make_ring("Z/2")
     O = make_osi_category(R2)
