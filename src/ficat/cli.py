@@ -7,6 +7,10 @@ instead.  Exit codes: 0 success, 1 precondition error, 2 enumeration
 budget exceeded, 3 invariant violation; error paths emit a single
 {"error": code, "detail": text} record.  The environment variable
 FICAT_BUDGET overrides the default enumeration budget.
+
+At the top this module imports only errors and the standard library.  Each
+command, and each category label it reads, imports the modules that path
+uses, so a cold process compiles only those.
 """
 
 import argparse
@@ -14,15 +18,12 @@ import json
 import re
 import sys
 
-from .catcore import FiCategory, FiMorphism, check_axioms
 from .errors import BudgetExceeded, InvariantViolation, PreconditionError
-from .matrices import Mat, factor_surjection
-from .modhom import coef_field, complex_homology, representable, shift_complex, VARIANTS
-from .rings import make_ring
-from .si import SiMorphism, SymplecticForm, make_osi_category, make_si_category, standard_form
-from .vic import OvicMorphism, VicMorphism, make_ovic_category, make_vic_category
-from .wporder import order_of
-from . import checks as checks_mod
+
+# the choices of --variant and --profile, equal to modhom.VARIANTS and
+# checks.PROFILES, written out so that building the parser imports neither
+VARIANTS = ("plain", "prime", "double", "triple")
+PROFILES = ("quick", "full")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,11 +67,13 @@ CATEGORY_NAMES = ("FI", "VIC", "OVIC", "SI", "OSI")
 def _build_cat(args):
     label = args.cat.upper()
     if label == "FI":
+        from .catcore import FiCategory
         return FiCategory()
     if label not in CATEGORY_NAMES:
         raise PreconditionError("unknown category %r (expected one of %s)" % (args.cat, ", ".join(CATEGORY_NAMES)))
     if not args.ring:
         raise PreconditionError("--ring is required for %s" % label)
+    from .rings import make_ring
     ring = make_ring(args.ring)
     units = None
     if getattr(args, "units", None):
@@ -80,13 +83,11 @@ def _build_cat(args):
             raise PreconditionError("--units expects a comma-separated list of integers")
     if units is not None and label != "VIC":
         raise PreconditionError("--units only applies to VIC")
-    if label == "VIC":
-        return make_vic_category(ring, units=units)
-    if label == "OVIC":
-        return make_ovic_category(ring)
-    if label == "SI":
-        return make_si_category(ring)
-    return make_osi_category(ring)
+    if label in ("VIC", "OVIC"):
+        from .vic import make_ovic_category, make_vic_category
+        return make_vic_category(ring, units=units) if label == "VIC" else make_ovic_category(ring)
+    from .si import make_osi_category, make_si_category
+    return make_si_category(ring) if label == "SI" else make_osi_category(ring)
 
 
 def mat_to_json(m):
@@ -106,10 +107,19 @@ def _rows_from_json(obj):
     return [[_int(x, "a matrix entry") for x in row] for row in obj]
 
 
+def _check_ring(obj, ring, what):
+    """A JSON object's "ring", if it has one, must be the ring in force."""
+    if "ring" in obj:
+        from .rings import make_ring
+        spec = make_ring(obj["ring"]).spec
+        if spec != ring.spec:
+            raise PreconditionError("%s is over %s, not over the ring in force %s" % (what, spec, ring.spec))
+
+
 def mat_from_json(obj, ring):
+    from .matrices import Mat
     if isinstance(obj, dict):
-        if "ring" in obj:
-            ring = make_ring(obj["ring"])
+        _check_ring(obj, ring, "matrix")
         entries = obj.get("entries")
         if entries is None:
             raise PreconditionError("matrix object needs an \"entries\" field")
@@ -131,10 +141,10 @@ def form_to_json(form):
 
 
 def form_from_json(obj, ring):
+    from .si import SymplecticForm
     if not isinstance(obj, dict) or "gram" not in obj:
         raise PreconditionError("form must be an object with a \"gram\" field")
-    if "ring" in obj:
-        ring = make_ring(obj["ring"])
+    _check_ring(obj, ring, "form")
     return SymplecticForm(mat_from_json(obj["gram"], ring))
 
 
@@ -159,6 +169,7 @@ def mor_from_json(cat, obj, flag):
     if not isinstance(payload, dict):
         raise PreconditionError("%s payload must be a JSON object" % flag)
     if cat.name == "FI":
+        from .catcore import FiMorphism
         images = payload.get("images")
         if images is None:
             raise PreconditionError("%s needs an \"images\" field" % flag)
@@ -169,6 +180,7 @@ def mor_from_json(cat, obj, flag):
             raise PreconditionError("%s needs a \"dst\" field" % flag)
         mor = FiMorphism(len(images), _int(dst, flag + " dst"), tuple(_int(i, flag + " image") for i in images))
     elif cat.name in ("VIC", "OVIC"):
+        from .vic import OvicMorphism, VicMorphism
         if "f" not in payload or "fp" not in payload:
             raise PreconditionError("%s needs \"f\" and \"fp\" fields" % flag)
         f = mat_from_json(payload["f"], cat.ring)
@@ -176,6 +188,7 @@ def mor_from_json(cat, obj, flag):
         cls = OvicMorphism if cat.name == "OVIC" else VicMorphism
         mor = cls(f, fp)
     else:
+        from .si import SiMorphism, standard_form
         if "f" not in payload:
             raise PreconditionError("%s needs an \"f\" field" % flag)
         f = mat_from_json(payload["f"], cat.ring)
@@ -208,6 +221,7 @@ def _module_degree(name):
 # ---------------------------------------------------------------------------
 
 def _cmd_ring_info(args):
+    from .rings import make_ring
     ring = make_ring(args.ring)
     units = ring.units()
     _emit(args, {
@@ -233,6 +247,8 @@ def _cmd_hom_enum(args):
 
 
 def _cmd_factor(args):
+    from .matrices import factor_surjection
+    from .rings import make_ring
     ring = make_ring(args.ring)
     m = mat_from_json(_parse_json(args.matrix, "--matrix"), ring)
     f1, f2 = factor_surjection(m)
@@ -249,6 +265,7 @@ def _cmd_compose(args):
 
 
 def _cmd_order_cmp(args):
+    from .wporder import order_of
     cat = _build_cat(args)
     order = order_of(cat)
     lhs = mor_from_json(cat, _parse_json(args.lhs, "--lhs"), "--lhs")
@@ -267,6 +284,7 @@ def _cmd_order_cmp(args):
 
 
 def _cmd_order_phi(args):
+    from .wporder import order_of
     cat = _build_cat(args)
     order = order_of(cat)
     lhs = mor_from_json(cat, _parse_json(args.lhs, "--lhs"), "--lhs")
@@ -276,6 +294,7 @@ def _cmd_order_phi(args):
 
 
 def _cmd_axioms(args):
+    from .catcore import check_axioms
     cat = _build_cat(args)
     report = check_axioms(cat, args.max_rank, seed=args.seed)
     _emit(args, report)
@@ -295,6 +314,7 @@ def _cmd_counts(args):
 
 
 def _cmd_module_dims(args):
+    from .modhom import coef_field, representable
     cat = _build_cat(args)
     field = coef_field(args.field)
     module = representable(cat, _module_degree(args.module), args.max_rank, field)
@@ -309,6 +329,7 @@ def _cmd_module_dims(args):
 
 
 def _cmd_homology(args):
+    from .modhom import coef_field, complex_homology, representable, shift_complex
     cat = _build_cat(args)
     field = coef_field(args.field)
     degree = args.degree
@@ -322,7 +343,8 @@ def _cmd_homology(args):
 
 
 def _cmd_checks(args):
-    records = checks_mod.run_profile(args.profile, seed=args.seed)
+    from .checks import run_profile
+    records = run_profile(args.profile, seed=args.seed)
     for record in records:
         _emit(args, record)
     passed = sum(1 for r in records if r["pass"])
@@ -345,7 +367,8 @@ def build_parser():
     shared = _Parser(add_help=False)
     shared.add_argument("--pretty", action="store_true", help="aligned key/value output instead of JSON lines")
 
-    parser = _Parser(prog="ficat", description=__doc__, parents=[shared])
+    # the docstring's last paragraph describes the source, not the command line
+    parser = _Parser(prog="ficat", description=__doc__ and __doc__.rsplit("\n\n", 1)[0], parents=[shared])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def cat_flags(p, ring_required=False):
@@ -419,7 +442,7 @@ def build_parser():
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("checks", parents=[shared], help="run the numbered verification checks")
-    p.add_argument("--profile", choices=checks_mod.PROFILES, default="quick")
+    p.add_argument("--profile", choices=PROFILES, default="quick")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_checks)
 

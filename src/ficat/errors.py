@@ -48,12 +48,13 @@ def nonneg_int(x, what):
 def enumeration_budget(budget=None):
     """Resolve the effective enumeration budget; None means unlimited.
 
-    Explicit arguments win, then the FICAT_BUDGET environment variable,
-    then the package default.  A negative value means unlimited (used
-    internally when a caller has already charged the work).
+    Explicit arguments, which must be integers, win, then the FICAT_BUDGET
+    environment variable, then the package default.  A negative value means
+    unlimited (used internally when a caller has already charged the work).
     """
     if budget is not None:
-        budget = int(budget)
+        if isinstance(budget, bool) or not isinstance(budget, int):
+            raise PreconditionError("budget must be an integer or None, got %r" % (budget,))
         return None if budget < 0 else budget
     env = os.environ.get(BUDGET_ENV)
     if env:

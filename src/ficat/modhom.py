@@ -42,7 +42,6 @@ from itertools import compress, count, pairwise, permutations, product
 from operator import ge
 
 from .errors import InvariantViolation, PreconditionError, nonneg_int
-from .wporder import order_of
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +496,7 @@ class TruncatedModule:
             raise PreconditionError("initial terms are defined on representable modules")
         got = self._total_keys.get(n)
         if got is None:
+            from .wporder import order_of
             key_fn = order_of(self.cat).total_key
             got = tuple(key_fn(u) for u in self.labels[n])
             if len(set(got)) != len(got):

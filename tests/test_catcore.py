@@ -10,7 +10,7 @@ from itertools import product as iproduct
 import pytest
 
 from ficat.catcore import Category, FiCategory, FiMorphism, _action_tables, check_axioms
-from ficat.errors import InvariantViolation, PreconditionError
+from ficat.errors import BudgetExceeded, InvariantViolation, PreconditionError
 from ficat.rings import make_ring
 from ficat.si import OsiCategory, SiCategory, make_osi_category, make_si_category
 from ficat.vic import OvicCategory, VicCategory, make_ovic_category, make_vic_category
@@ -356,3 +356,20 @@ def test_check_axioms_rejects_bad_sampling_sizes():
     # zero stays allowed: every signature is then sampled, none drawn
     report = check_axioms(fi, 2, assoc_cap=0, assoc_samples=0)
     assert report["ok"] and report["checks"]["associativity"]["checked"] == 0
+
+
+@pytest.mark.parametrize("budget", ["x", [3], 1.5, True, "3"])
+def test_a_budget_that_is_not_an_integer_is_a_precondition_error(budget):
+    # fresh categories, since the budget is read only when a hom set is built
+    with pytest.raises(PreconditionError, match="budget"):
+        FiCategory().hom(1, 3, budget=budget)
+    with pytest.raises(PreconditionError, match="budget"):
+        check_axioms(FiCategory(), 1, budget=budget)
+
+
+def test_integer_budgets_cap_or_lift():
+    with pytest.raises(BudgetExceeded):
+        FiCategory().hom(1, 3, budget=2)
+    assert len(FiCategory().hom(1, 3, budget=3)) == 3
+    assert len(FiCategory().hom(1, 3, budget=-1)) == 3  # a negative budget is no cap
+    assert check_axioms(FiCategory(), 1, budget=None)["ok"]

@@ -353,6 +353,47 @@ def test_malformed_arguments_are_precondition_records(capsys, argv):
     assert json.loads(out)["error"] == "precondition"
 
 
+def test_a_matrix_or_form_over_another_ring_is_refused(capsys):
+    # the ring in force is --ring (or the category's): [[2]] is a
+    # surjection over Z/3 but not over Z/4, so reading the object over its
+    # own ring would answer a question the command did not ask
+    rc, out = run_cli(capsys, "factor", "--ring", "Z/4", "--matrix", '{"ring": "Z/3", "entries": [[2]]}')
+    assert rc == 1
+    assert json.loads(out) == {"error": "precondition",
+                               "detail": "matrix is over Z/3, not over the ring in force Z/4"}
+    rc, out = run_cli(capsys, "compose", "--cat", "SI", "--ring", "Z/2",
+                      "--f", '{"f": [[1, 0], [0, 1]], "src_form": {"ring": "Z/4", "gram": [[0, 1], [3, 0]]}}',
+                      "--g", '{"f": [[1, 0], [0, 1]]}')
+    assert rc == 1
+    assert json.loads(out)["detail"] == "form is over Z/4, not over the ring in force Z/2"
+
+
+def test_a_matrix_or_form_over_the_ring_in_force_parses(capsys):
+    rc, out = run_cli(capsys, "factor", "--ring", "Z/4", "--matrix", '{"ring": "Z/4", "entries": [[2, 3]]}')
+    assert rc == 0
+    assert out == '{"f1": [[2, 1]], "f2": [[3]]}\n'
+    # the spec is compared once parsed, so spacing does not matter
+    rc, out = run_cli(capsys, "factor", "--ring", "Z/2xZ/3", "--matrix", '{"ring": "Z/2 x Z/3", "entries": [[5]]}')
+    assert rc == 0
+    # over Z/4 itself, [[2]] is no surjection
+    rc, out = run_cli(capsys, "factor", "--ring", "Z/4", "--matrix", '{"ring": "Z/4", "entries": [[2]]}')
+    assert rc == 1
+    rc, out = run_cli(capsys, "compose", "--cat", "SI", "--ring", "Z/2",
+                      "--f", '{"f": [[1, 0], [0, 1]], "src_form": {"ring": "Z/2", "gram": [[0, 1], [1, 0]]}}',
+                      "--g", '{"f": [[1, 0], [0, 1]]}')
+    assert rc == 0
+    assert json.loads(out)["payload"]["f"]["entries"] == [[1, 0], [0, 1]]
+
+
+def test_parser_choices_are_the_modules_own():
+    # cli writes the choices out so that building its parser imports
+    # neither modhom nor checks
+    from ficat import checks, cli, modhom
+
+    assert cli.VARIANTS == modhom.VARIANTS
+    assert cli.PROFILES == checks.PROFILES
+
+
 # ---------------------------------------------------------------------------
 # output formats
 # ---------------------------------------------------------------------------

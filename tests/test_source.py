@@ -1,7 +1,8 @@
 """Source guards: the package keeps its checks under python -O, carries
 no definition that only the tests use, leaves the garbage collector alone,
 indexes hom sets through Category.position only, reads sparse maps as
-packed arrays, and walks local factors through local_parts only."""
+packed arrays, walks local factors through local_parts only, and names
+every export in the README."""
 
 import ast
 import re
@@ -112,9 +113,10 @@ def test_only_rings_indexes_local_factors():
 
 def test_every_definition_is_used():
     # a def or class whose name occurs nowhere but at its own definitions
-    # (in the code of the package, its __init__ imports included, or in the
-    # README) is dead code; a helper that only the tests or the benchmark
-    # call belongs with them
+    # (as a name in the code of the package, or as a word of the README) is
+    # dead code; a helper that only the tests or the benchmark call belongs
+    # with them.  The export table of __init__ holds names as strings, which
+    # do not count: an export lives through a caller or the README
     defs = Counter()
     where = {}
     words = Counter(re.findall(r"\w+", (ROOT / "README.md").read_text()))
@@ -132,3 +134,10 @@ def test_every_definition_is_used():
             words.update(t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME)
     unused = sorted("%s (%s)" % (name, where[name]) for name, n in defs.items() if words[name] <= n)
     assert not unused, unused
+
+
+def test_readme_names_every_export():
+    # the README is where a reader finds the package's surface
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    missing = sorted(set(ficat.__all__) - words)
+    assert not missing, missing
