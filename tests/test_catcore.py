@@ -358,7 +358,7 @@ def test_check_axioms_rejects_bad_sampling_sizes():
     assert report["ok"] and report["checks"]["associativity"]["checked"] == 0
 
 
-@pytest.mark.parametrize("budget", ["x", [3], 1.5, True, "3"])
+@pytest.mark.parametrize("budget", ["x", [3], 1.5, True, "3"], ids=repr)
 def test_a_budget_that_is_not_an_integer_is_a_precondition_error(budget):
     # fresh categories, since the budget is read only when a hom set is built
     with pytest.raises(PreconditionError, match="budget"):
